@@ -352,8 +352,7 @@ def eval_field(
         q = e.exponent
         if q.denominator == 1:
             return base.pow_int(q.numerator, depth)
-        # c^(p/q) lowers to the q-th root of the integer power c^p.
-        return base.pow_int(q.numerator, depth).nth_root(q.denominator, depth)
+        return base.pow_rational(q, depth)
     if isinstance(e, Sqrt):
         return eval_field(e.operand, binding, depth).nth_root(2, depth)
     raise TypeError(f"not an expression node: {e!r}")
@@ -384,9 +383,9 @@ def eval_rational(e: Expr, binding: Mapping[str, Fraction]) -> Fraction:
     if isinstance(e, Pow):
         base = eval_rational(e.base, binding)
         q = e.exponent
+        if q < 0 and base == 0:
+            raise ZeroDivisionLCError("zero to a negative power")
         if q.denominator == 1:
-            if q < 0 and base == 0:
-                raise ZeroDivisionLCError("zero to a negative power")
             return base**q.numerator
         return rational_nth_root(base**q.numerator, q.denominator)
     if isinstance(e, Sqrt):

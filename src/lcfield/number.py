@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, isqrt
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -104,15 +104,20 @@ def _dict_mul(a: dict, b: dict, bound: Optional[Fraction]) -> dict:
 
 def _int_nth_root(x: int, n: int) -> Optional[int]:
     """Exact n-th root of a nonnegative integer, or None."""
-    if x < 0:
-        return None
     if x in (0, 1):
         return x
-    r = round(x ** (1.0 / n))
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand**n == x:
-            return cand
-    return None
+    if n == 2:
+        r = isqrt(x)
+    else:
+        # Integer Newton from above: 2^ceil(bits/n) exceeds the root, and the
+        # iterates decrease to floor(x^(1/n)).
+        r = 1 << -(-x.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + x // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r if r**n == x else None
 
 
 def rational_nth_root(c: Fraction, n: int) -> Fraction:
@@ -126,6 +131,26 @@ def rational_nth_root(c: Fraction, n: int) -> Fraction:
     if num is None or den is None:
         raise NotAnNthPowerError(f"{c} has no rational {n}-th root")
     return Fraction(num, den)
+
+
+def _binomial_series(rel: list, alpha: Fraction, n: int) -> list:
+    """Coefficients g_0..g_(n-1) of (1 + u)^alpha, u = sum of a_j * x^j.
+
+    ``rel`` lists the nonzero (j, a_j), j >= 1 ascending.  J.C.P. Miller's
+    recurrence (Knuth, TAOCP Vol. 2, 4.7) costs O(n * len(rel)):
+    g_0 = 1, g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j).
+    """
+    p, q = alpha.numerator, alpha.denominator
+    g = [Fraction(1)]
+    for k in range(1, n):
+        # (alpha + 1) * j - k == ((p + q) * j - q * k) / q
+        s = Fraction(0)
+        for j, a in rel:
+            if j > k:
+                break
+            s += ((p + q) * j - q * k) * a * g[k - j]
+        g.append(s / (q * k))
+    return g
 
 
 class LCNumber:
@@ -184,16 +209,6 @@ class LCNumber:
                 return c
         return Fraction(0)
 
-    def _granularity(self) -> Optional[Fraction]:
-        """gcd of exponent offsets above the leading term; None for a monomial."""
-        offsets = [q - self.leading_exponent for q, _ in self.terms[1:]]
-        if not offsets:
-            return None
-        g = offsets[0]
-        for o in offsets[1:]:
-            g = _frac_gcd(g, o)
-        return g
-
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
@@ -221,12 +236,17 @@ class LCNumber:
 
     def __mul__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)
-        # O(eps^Ta) * (leading eps^lb) contributes unknowns from eps^(Ta+lb) on.
+        if self.is_zero or b.is_zero:
+            return LCNumber()
+        # O(eps^Ta) times a factor whose exponents are all >= lb contributes
+        # unknowns from eps^(Ta+lb) on; a term-less factor's lb is its own T.
+        lo_a = self.terms[0][0] if self.terms else self.trunc
+        lo_b = b.terms[0][0] if b.terms else b.trunc
         bound = None
         if self.trunc is not None:
-            bound = self.trunc + b.leading_exponent
+            bound = self.trunc + lo_b
         if b.trunc is not None:
-            bound = _min_trunc(bound, b.trunc + self.leading_exponent)
+            bound = _min_trunc(bound, b.trunc + lo_a)
         prod = _dict_mul(dict(self.terms), dict(b.terms), bound)
         return LCNumber(prod.items(), bound)
 
@@ -239,8 +259,9 @@ class LCNumber:
         return self._coerce(other) * self.inv()
 
     def pow_int(self, k: int, depth: int = DEFAULT_DEPTH) -> "LCNumber":
+        """Integer power: exact repeated squaring for k >= 0, else a series."""
         if k < 0:
-            return self.pow_int(-k, depth).inv(depth)
+            return self.pow_rational(k, depth)
         result = LCNumber.from_rational(1)
         base = self
         while k:
@@ -251,42 +272,8 @@ class LCNumber:
         return result
 
     def inv(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
-        """Reciprocal series.
-
-        Exact for monomials with unbounded truncation; otherwise the result is
-        truncated after ``depth`` exponent steps beyond the leading exponent
-        (a step is the gcd granularity of the operand's exponents), or sooner
-        if the operand's own truncation gives out first.
-        """
-        if not self.terms:
-            if self.trunc is None:
-                raise ZeroDivisionLCError("inverse of zero")
-            raise UndecidableError(
-                f"operand is zero up to O(eps^({self.trunc})); inverse undecidable"
-            )
-        lam, c0 = self.terms[0]
-        rel_known = None if self.trunc is None else self.trunc - lam
-        rel = {q - lam: c / c0 for q, c in self.terms[1:]}
-        if not rel:
-            trunc = None if rel_known is None else -lam + rel_known
-            return LCNumber([(-lam, 1 / c0)], trunc)
-        step = self._granularity()
-        bound = depth * step
-        if rel_known is not None:
-            bound = min(bound, rel_known)
-        # 1 / (1 + u) = sum (-u)^k, u strictly higher order than 1.
-        series = {Fraction(0): Fraction(1)}
-        power = dict(rel)
-        sign = -1
-        while power:
-            for q, c in power.items():
-                series[q] = series.get(q, Fraction(0)) + sign * c
-            power = _dict_mul(power, rel, bound)
-            sign = -sign
-        series = _prune(series, bound)
-        return LCNumber(
-            [(q - lam, c / c0) for q, c in series.items()], -lam + bound
-        )
+        """Reciprocal series; see :meth:`pow_rational` for its truncation."""
+        return self.pow_rational(-1, depth)
 
     def nth_root(self, n: int, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """Series b with b**n == self up to truncation; leading exponent /= n.
@@ -295,38 +282,43 @@ class LCNumber:
         """
         if n <= 0:
             raise ValueError("root index must be a positive integer")
+        return self.pow_rational(Fraction(1, n), depth)
+
+    def pow_rational(self, alpha: Rational, depth: int = DEFAULT_DEPTH) -> "LCNumber":
+        """self^(p/q) for alpha = p/q, as c0^(p/q) * eps^(lam*p/q) * (1 + u)^alpha.
+
+        The leading coefficient c0^p must have an exact rational q-th root.
+        Exact for monomials with unbounded truncation; otherwise the result is
+        truncated after ``depth`` exponent steps beyond the leading exponent
+        (a step is the gcd granularity of the operand's exponents), or sooner
+        if the operand's own truncation gives out first.  Unlike
+        :meth:`pow_int`, a positive integer alpha is truncated as well.
+        """
+        alpha = Fraction(alpha)
+        p, q = alpha.numerator, alpha.denominator
         if not self.terms:
             if self.trunc is None:
+                if p < 0:
+                    raise ZeroDivisionLCError("inverse of zero")
                 return LCNumber()
+            what = "inverse" if p < 0 else "root"
             raise UndecidableError(
-                f"operand is zero up to O(eps^({self.trunc})); root undecidable"
+                f"operand is zero up to O(eps^({abs(p) * self.trunc})); {what} undecidable"
             )
         lam, c0 = self.terms[0]
-        r0 = rational_nth_root(c0, n)
-        mu = lam / n
+        r0 = rational_nth_root(c0**p, q)
+        mu = lam * alpha
         rel_known = None if self.trunc is None else self.trunc - lam
-        rel = {q - lam: c / c0 for q, c in self.terms[1:]}
-        if not rel:
-            trunc = None if rel_known is None else mu + rel_known
-            return LCNumber([(mu, r0)], trunc)
-        step = self._granularity()
-        bound = depth * step
-        if rel_known is not None:
-            bound = min(bound, rel_known)
-        # (1 + u)^(1/n) by the binomial series.
-        alpha = Fraction(1, n)
-        series = {Fraction(0): Fraction(1)}
-        power = dict(rel)
-        coeff = Fraction(1)
-        k = 0
-        while power:
-            coeff = coeff * (alpha - k) / (k + 1)
-            k += 1
-            for q, c in power.items():
-                series[q] = series.get(q, Fraction(0)) + coeff * c
-            power = _dict_mul(power, rel, bound)
-        series = _prune(series, bound)
-        return LCNumber([(q + mu, c * r0) for q, c in series.items()], mu + bound)
+        if len(self.terms) == 1:
+            return LCNumber([(mu, r0)], None if rel_known is None else mu + rel_known)
+        step = self.terms[1][0] - lam
+        for e, _ in self.terms[2:]:
+            step = _frac_gcd(step, e - lam)
+        bound = _min_trunc(depth * step, rel_known)
+        # u = sum a_j * eps^(j*step); the terms at or above the bound never matter.
+        rel = [(int((e - lam) / step), c / c0) for e, c in self.terms[1:] if e - lam < bound]
+        g = _binomial_series(rel, alpha, ceil(bound / step))
+        return LCNumber([(mu + k * step, r0 * c) for k, c in enumerate(g)], mu + bound)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)

@@ -206,7 +206,10 @@ def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
 def conic_point(
     H: LCNumber, x: Rational, depth: int = DEFAULT_DEPTH
 ) -> LCNumber:
-    """The finite y with (x, y) on the deformed conic, as a truncated series."""
+    """The finite y with (x, y) on the deformed conic, as a truncated series.
+
+    Raises UndecidableError when no root is decidably limited at this depth.
+    """
     _require_unlimited(H)
     x = LCNumber.from_rational(Fraction(x))
     Hinv = H.inv(depth)
@@ -224,7 +227,7 @@ def conic_point(
                 return y
         except UndecidableError:
             continue
-    raise ArithmeticError("no limited intersection found")
+    raise UndecidableError(f"no decidably limited intersection found at depth {depth}")
 
 
 def conic_chain_residuals(

@@ -181,6 +181,12 @@ class TestTransferCheck:
         )
         assert not diff.terms
 
+    def test_negative_fractional_power_of_zero(self):
+        with pytest.raises(ZeroDivisionLCError):
+            eval_rational(parse("x^(-1/2)"), {"x": F(0)})
+        report = transfer_check(parse("x^(-1/2)*x"), parse("x^(1/2)"))
+        assert report.rational_trials + report.field_trials > 0
+
     def test_non_identity_reports_counterexample(self):
         report = transfer_check(parse("a^2"), parse("a"), trials=10)
         assert not report.ok

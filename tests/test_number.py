@@ -58,6 +58,18 @@ class TestMul:
         inv = num("1 - eps + eps^(2) + O(eps^(3))")
         assert (ONE + EPS) * inv == num("1 + O(eps^(3))")
 
+    def test_termless_factors_add_their_orders(self):
+        assert num("O(eps^(-3))") * num("O(eps^(-4))") == num("O(eps^(-7))")
+
+    def test_termless_product_keeps_comparison_undecidable(self):
+        x = num("O(eps^(-3))") * num("O(eps^(-4))") + num("eps^(-5)")
+        with pytest.raises(UndecidableError):
+            x.compare(0)
+
+    def test_exact_zero_annihilates_truncation(self):
+        assert ZERO * num("O(eps^(2))") == ZERO
+        assert num("O(eps^(2))") * ZERO == ZERO
+
     @given(exact_numbers, exact_numbers)
     def test_commutative(self, a, b):
         assert a * b == b * a
@@ -209,6 +221,20 @@ class TestRoots:
         got = (LCNumber.from_rational(4) + EPS).nth_root(2, depth=3)
         assert got == num("2 + 1/4*eps - 1/64*eps^(2) + O(eps^(3))")
         assert got * got == num("4 + eps + O(eps^(3))")
+
+    def test_sqrt_beyond_float_range(self):
+        assert LCNumber.from_rational(10**400).sqrt() == LCNumber.from_rational(10**200)
+
+    def test_sqrt_of_large_perfect_square(self):
+        r = 10**20 + 7
+        assert LCNumber.from_rational(r**2).sqrt() == LCNumber.from_rational(r)
+        assert LCNumber.from_rational(F(r**2, 9)).sqrt() == LCNumber.from_rational(F(r, 3))
+
+    def test_large_cube_root(self):
+        r = 10**20 + 7
+        assert LCNumber.from_rational(-(r**3)).nth_root(3) == LCNumber.from_rational(-r)
+        with pytest.raises(NotAnNthPowerError):
+            LCNumber.from_rational(r**3 + 1).nth_root(3)
 
     def test_imperfect_square_raises(self):
         with pytest.raises(NotAnNthPowerError):

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 
 from conftest import expr_to_sympy, random_ratfunc_expr, rationals, sympy_to_fraction
 from lcfield.calculus import derivative
-from lcfield.errors import LCError, NotUnlimitedError
+from lcfield.errors import LCError, NotUnlimitedError, UndecidableError
 from lcfield.expr import eval_rational, parse
 from lcfield.number import EPS, LCNumber, ONE
+from lcfield.number import parse as parse_number
 from lcfield.shadows import (
     CONIC_LHS_SRC,
     conic_chain_residuals,
@@ -124,6 +125,20 @@ class TestConicPoint:
     def test_requires_unlimited_H(self):
         with pytest.raises(NotUnlimitedError):
             conic_point(LCNumber.from_rational(10), 1)
+
+    def test_infinitesimal_point_through_termless_products(self):
+        # y = 2/3*eps^(9/11) + ... at x = 2: no term of it is known below
+        # depth 64 (steps of 1/77), yet a sound product of O() factors still
+        # shows that y is limited.
+        H = parse_number("3*eps^(-9/11) - 3 - eps^(4/7)")
+        y = conic_point(H, 2, depth=16)
+        assert y == parse_number("O(eps^(16/77))")
+        assert y.st() == 0
+
+    def test_no_decidable_root_is_undecidable(self):
+        H = parse_number("3*eps^(-9/11) - 3 - eps^(4/7)")
+        with pytest.raises(UndecidableError, match="at depth 1$"):
+            conic_point(H, 2, depth=1)
 
 
 def secant_corpus(count, seed=31):
