@@ -36,7 +36,7 @@ from .errors import (
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "LCNumber"]
 
-#: Default relative truncation depth (in exponent steps) for inv / nth_root.
+#: Default relative truncation depth (in exponent steps) of power series.
 DEFAULT_DEPTH = 16
 
 
@@ -306,7 +306,7 @@ class LCNumber:
                 f"operand is zero up to O(eps^({abs(p) * self.trunc})); {what} undecidable"
             )
         lam, c0 = self.terms[0]
-        r0 = rational_nth_root(c0**p, q)
+        r0 = c0**p if q == 1 else rational_nth_root(c0**p, q)
         mu = lam * alpha
         rel_known = None if self.trunc is None else self.trunc - lam
         if len(self.terms) == 1:

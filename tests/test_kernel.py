@@ -16,9 +16,9 @@ from sympy import QQ, Rational
 from sympy.polys.ring_series import rs_nth_root, rs_pow, rs_series_inversion
 from sympy.polys.rings import ring
 
-from lcfield.errors import LCError
+from lcfield.errors import LCError, UndecidableError, ZeroDivisionLCError
 from lcfield.expr import Pow, Var, eval_field
-from lcfield.number import LCNumber
+from lcfield.number import LCNumber, rational_nth_root
 
 # ---------------------------------------------------------------------------
 # Reference: sum_k c_k * u^k with every power u^k built by a dict product
@@ -46,9 +46,10 @@ def _dict_mul(a, b, bound):
     return {q: c for q, c in out.items() if c != 0}
 
 
-def _binomial_power_sum(x, coeff, depth):
-    """(lam, c0, {offset: coefficient of (1+u)^alpha}, bound); coeff(k) is the
-    binomial coefficient of u^k.  None for a monomial."""
+def _power_sum(x, alpha, depth):
+    """(lam, c0, series, bound): series = {offset: coefficient} of
+    (1+u)^alpha = sum_k binom(alpha, k) * u^k below the bound, None for a
+    monomial (whose bound is then the known relative range)."""
     lam, c0 = x.terms[0]
     rel_known = None if x.trunc is None else x.trunc - lam
     rel = {q - lam: c / c0 for q, c in x.terms[1:]}
@@ -58,19 +59,22 @@ def _binomial_power_sum(x, coeff, depth):
     if rel_known is not None:
         bound = min(bound, rel_known)
     series = {F(0): F(1)}
-    power, k = dict(rel), 1
+    power, coeff, k = dict(rel), F(1), 0
     while power:
-        for q, c in power.items():
-            series[q] = series.get(q, F(0)) + coeff(k) * c
-        power = _dict_mul(power, rel, bound)
+        coeff = coeff * (alpha - k) / (k + 1)
         k += 1
-    return lam, c0, {q: c for q, c in series.items() if q < bound}, bound
+        for q, c in power.items():
+            series[q] = series.get(q, F(0)) + coeff * c
+        power = _dict_mul(power, rel, bound)
+    return lam, c0, {q: c for q, c in series.items() if q < bound and c != 0}, bound
 
 
 def ref_inv(x, depth):
     if not x.terms:
-        return x.inv(depth)  # the term-less errors
-    lam, c0, series, bound = _binomial_power_sum(x, lambda k: (-1) ** k, depth)
+        if x.trunc is None:
+            raise ZeroDivisionLCError("inverse of zero")
+        raise UndecidableError(f"operand is zero up to O(eps^({x.trunc})); inverse undecidable")
+    lam, c0, series, bound = _power_sum(x, -1, depth)
     if series is None:
         return LCNumber([(-lam, 1 / c0)], None if bound is None else -lam + bound)
     return LCNumber([(q - lam, c / c0) for q, c in series.items()], -lam + bound)
@@ -78,12 +82,11 @@ def ref_inv(x, depth):
 
 def ref_nth_root(x, n, depth):
     if not x.terms:
-        return x.nth_root(n, depth)  # zero, or the term-less errors
-    r0 = x.nth_root(n, depth).terms[0][1]  # rational_nth_root, errors included
-    binom = [F(1)]
-    for k in range(1, 8 * depth + 8):
-        binom.append(binom[-1] * (F(1, n) - k + 1) / k)
-    lam, _, series, bound = _binomial_power_sum(x, binom.__getitem__, depth)
+        if x.trunc is None:
+            return LCNumber()
+        raise UndecidableError(f"operand is zero up to O(eps^({x.trunc})); root undecidable")
+    r0 = rational_nth_root(x.terms[0][1], n)
+    lam, _, series, bound = _power_sum(x, F(1, n), depth)
     mu = lam / n
     if series is None:
         return LCNumber([(mu, r0)], None if bound is None else mu + bound)
@@ -143,7 +146,7 @@ def outcome(f):
 
 def kernel_calls(x, alpha, depth):
     """name -> (new, reference) for every entry point of the kernel."""
-    k = -alpha.numerator if alpha.numerator > 0 else alpha.numerator
+    k = -abs(alpha.numerator)
     return {
         "inv": (lambda: x.inv(depth), lambda: ref_inv(x, depth)),
         "sqrt": (lambda: x.nth_root(2, depth), lambda: ref_nth_root(x, 2, depth)),
@@ -185,7 +188,7 @@ def test_coefficients_match_ring_series(x, alpha, depth):
     one_plus_u = _R(1)
     for q, c in x.terms[1:]:
         one_plus_u += QQ(c.numerator, c.denominator) * _T ** int((q - lam) / step)
-    k = -alpha.numerator if alpha.numerator > 0 else alpha.numerator
+    k = -abs(alpha.numerator)
     cases = [
         (x.inv(depth), -1, rs_series_inversion(one_plus_u, _T, prec)),
         (x.nth_root(2, depth), F(1, 2), rs_nth_root(one_plus_u, 2, _T, prec)),
@@ -206,14 +209,10 @@ def test_coefficients_match_ring_series(x, alpha, depth):
 @given(operands(), alphas, st.integers(min_value=1, max_value=12))
 @settings(max_examples=150, deadline=None)
 def test_doubling_the_depth_refines(x, alpha, depth):
-    for name, (lo, hi) in {
-        name: (outcome(new), None) for name, (new, _) in kernel_calls(x, alpha, depth).items()
-    }.items():
-        hi = outcome(kernel_calls(x, alpha, 2 * depth)[name][0])
-        if not isinstance(lo, LCNumber):
-            assert hi == lo, name
-            continue
-        if lo.trunc is None:
+    higher = kernel_calls(x, alpha, 2 * depth)
+    for name, (new, _) in kernel_calls(x, alpha, depth).items():
+        lo, hi = outcome(new), outcome(higher[name][0])
+        if not isinstance(lo, LCNumber) or lo.trunc is None:
             assert hi == lo, name
             continue
         assert hi.trunc is not None and hi.trunc >= lo.trunc, name
