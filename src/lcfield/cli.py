@@ -27,13 +27,23 @@ from .number import parse as parse_number
 
 
 def _default_depth() -> int:
-    env = os.environ.get("LC_DEPTH")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_DEPTH
+    """LC_DEPTH when it is a positive integer, else DEFAULT_DEPTH."""
+    try:
+        depth = int(os.environ.get("LC_DEPTH", ""))
+    except ValueError:
+        return DEFAULT_DEPTH
+    return depth if depth >= 1 else DEFAULT_DEPTH
+
+
+def _depth_arg(text: str) -> int:
+    """argparse type of --depth: an integer >= 1, else a usage error."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"depth must be at least 1, got {depth}")
+    return depth
 
 
 def _parse_binding_list(text: str) -> dict[str, LCNumber]:
@@ -79,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--depth", type=int, default=None, help="truncation depth")
+        p.add_argument("--depth", type=_depth_arg, default=None, help="truncation depth")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("eval", help="evaluate an expression over the field")

@@ -39,9 +39,7 @@ from .errors import (
     UndecidableError,
     ZeroDivisionLCError,
 )
-from .number import DEFAULT_DEPTH, LCNumber, rational_nth_root
-
-_NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+from .number import DEFAULT_DEPTH, LCNumber, _Cursor, rational_nth_root
 
 
 # ---------------------------------------------------------------------------
@@ -120,49 +118,10 @@ def free_vars(e: Expr) -> frozenset:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_EXPR_TOKEN_RE = re.compile(
-    r"(\d+\.\d+|\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([+\-*/^()])|(\S)"
-)
 
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _EXPR_TOKEN_RE.finditer(src.replace("−", "-")):
-        if m.group(1):
-            tokens.append(("num", m.group(1), m.start()))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start()))
-        elif m.group(3):
-            tokens.append(("op", m.group(3), m.start()))
-        elif not m.group(0).isspace():
-            raise ParseError(f"unexpected character {m.group(0)!r}", m.start())
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.src))
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, got {tok[1]!r}", tok[2])
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[1] == text
+class _Parser(_Cursor):
+    TOKEN_RE = re.compile(r"(\d+\.\d+|\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([+\-*/^()])|(\S)")
+    KINDS = ("num", "name", "op")
 
     def expr(self) -> Expr:
         node = self.term()
@@ -194,28 +153,26 @@ class _Parser:
         return node
 
     def exponent(self) -> Fraction:
-        if self.at("("):
+        paren = self.at("(")
+        if paren:
             self.next()
-            sign = 1
-            if self.at("-"):
-                self.next()
-                sign = -1
-            num = self.number()
-            if self.at("/"):
-                self.next()
-                den = self.number()
-                if den.denominator != 1:
-                    raise ParseError("denominator must be an integer", 0)
-                val = Fraction(num, den)
-            else:
-                val = num
-            self.expect(")")
-            return sign * val
         sign = 1
         if self.at("-"):
             self.next()
             sign = -1
-        return sign * self.number()
+        val = self.number()
+        if paren:
+            if self.at("/"):
+                self.next()
+                den_tok = self.peek()
+                den = self.number()
+                if den.denominator != 1:
+                    raise ParseError("denominator must be an integer", den_tok[2])
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok[2])
+                val /= den
+            self.expect(")")
+        return sign * val
 
     def number(self) -> Fraction:
         tok = self.next()

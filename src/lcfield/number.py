@@ -84,24 +84,6 @@ def _min_trunc(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fractio
     return min(a, b)
 
 
-def _prune(d: dict, bound: Optional[Fraction]) -> dict:
-    out = {q: c for q, c in d.items() if c != 0}
-    if bound is not None:
-        out = {q: c for q, c in out.items() if q < bound}
-    return out
-
-
-def _dict_mul(a: dict, b: dict, bound: Optional[Fraction]) -> dict:
-    out: dict = {}
-    for qa, ca in a.items():
-        for qb, cb in b.items():
-            q = qa + qb
-            if bound is not None and q >= bound:
-                continue
-            out[q] = out.get(q, 0) + ca * cb
-    return _prune(out, bound)
-
-
 def _int_nth_root(x: int, n: int) -> Optional[int]:
     """Exact n-th root of a nonnegative integer, or None."""
     if x in (0, 1):
@@ -168,8 +150,9 @@ class LCNumber:
             q = Fraction(q)
             acc[q] = acc.get(q, Fraction(0)) + Fraction(c)
         t = None if trunc is None else Fraction(trunc)
-        acc = _prune(acc, t)
-        self.terms = tuple(sorted(acc.items()))
+        self.terms = tuple(
+            sorted((q, c) for q, c in acc.items() if c != 0 and (t is None or q < t))
+        )
         self.trunc = t
 
     # -- constructors ------------------------------------------------------
@@ -247,7 +230,12 @@ class LCNumber:
             bound = self.trunc + lo_b
         if b.trunc is not None:
             bound = _min_trunc(bound, b.trunc + lo_a)
-        prod = _dict_mul(dict(self.terms), dict(b.terms), bound)
+        prod: dict = {}
+        for qa, ca in self.terms:
+            for qb, cb in b.terms:
+                q = qa + qb
+                if bound is None or q < bound:
+                    prod[q] = prod.get(q, 0) + ca * cb
         return LCNumber(prod.items(), bound)
 
     __rmul__ = __mul__
@@ -481,33 +469,32 @@ def render(a: LCNumber) -> str:
     return "".join(parts)
 
 
-_TOKEN_RE = re.compile(r"(\d+)|(eps)|(O)|([+\-*^()/])|(\S)")
+class _Cursor:
+    """Token cursor shared by the number and the expression grammar.
 
+    A grammar subclass supplies ``TOKEN_RE``, one group per token kind named
+    in ``KINDS`` and a final ``(\\S)`` group for any other character.  Tokens
+    are ``(kind, text, offset)``; the minus sign U+2212 reads as ``-``.
+    """
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(src.replace("−", "-")):
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start()))
-        elif m.group(2):
-            tokens.append(("eps", "eps", m.start()))
-        elif m.group(3):
-            tokens.append(("O", "O", m.start()))
-        elif m.group(4):
-            tokens.append(("op", m.group(4), m.start()))
-        elif not m.group(0).isspace():
-            raise ParseError(f"unexpected character {m.group(0)!r}", m.start())
-    return tokens
+    TOKEN_RE: re.Pattern
+    KINDS: tuple[str, ...]
 
-
-class _NumberParser:
     def __init__(self, src: str):
         self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = []
+        for m in self.TOKEN_RE.finditer(src.replace("−", "-")):
+            if m.lastindex > len(self.KINDS):
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.tokens.append((self.KINDS[m.lastindex - 1], m.group(), m.start()))
         self.i = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok[1] == text
 
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()
@@ -521,92 +508,80 @@ class _NumberParser:
         if tok[1] != text:
             raise ParseError(f"expected {text!r}, got {tok[1]!r}", tok[2])
 
+
+class _NumberParser(_Cursor):
+    TOKEN_RE = re.compile(r"(\d+)|(eps)|(O)|([+\-*^()/])|(\S)")
+    KINDS = ("int", "eps", "O", "op")
+
     def fraction(self) -> Fraction:
         tok = self.next()
         if tok[0] != "int":
             raise ParseError(f"expected a number, got {tok[1]!r}", tok[2])
-        num = int(tok[1])
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "/":
-            self.next()
-            den_tok = self.next()
-            if den_tok[0] != "int":
-                raise ParseError("expected a denominator", den_tok[2])
-            return Fraction(num, int(den_tok[1]))
-        return Fraction(num)
-
-    def signed_fraction(self) -> Fraction:
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "-":
-            self.next()
-            return -self.fraction()
-        return self.fraction()
-
-    def exponent(self) -> Fraction:
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "(":
-            self.next()
-            val = self.signed_fraction()
-            self.expect(")")
-            return val
-        return self.signed_fraction()
+        if not self.at("/"):
+            return Fraction(int(tok[1]))
+        self.next()
+        den = self.next()
+        if den[0] != "int":
+            raise ParseError("expected a denominator", den[2])
+        if int(den[1]) == 0:
+            raise ParseError("zero denominator", den[2])
+        return Fraction(int(tok[1]), int(den[1]))
 
     def eps_part(self) -> Fraction:
+        """``eps`` with an optional exponent, bare or in parentheses."""
         self.expect("eps")
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "^":
+        if not self.at("^"):
+            return Fraction(1)
+        self.next()
+        paren = self.at("(")
+        if paren:
             self.next()
-            return self.exponent()
-        return Fraction(1)
+        negate = self.at("-")
+        if negate:
+            self.next()
+        val = -self.fraction() if negate else self.fraction()
+        if paren:
+            self.expect(")")
+        return val
 
     def term(self) -> tuple[Optional[Fraction], Fraction]:
         """Returns (exponent, coefficient); exponent None flags an O() tail."""
-        tok = self.peek()
-        if tok is None:
+        if self.peek() is None:
             raise ParseError("expected a term", len(self.src))
-        if tok[0] == "O":
+        if self.at("O"):
             self.next()
             self.expect("(")
             exp = self.eps_part()
             self.expect(")")
             return None, exp
-        if tok[0] == "eps":
+        if self.at("eps"):
             return self.eps_part(), Fraction(1)
         coeff = self.fraction()
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "*":
+        if self.at("*"):
             self.next()
-            return self.eps_part(), coeff
-        if nxt is not None and nxt[0] == "eps":
-            return self.eps_part(), coeff
-        return Fraction(0), coeff
+        elif not self.at("eps"):
+            return Fraction(0), coeff
+        return self.eps_part(), coeff
 
     def parse(self) -> LCNumber:
         terms: list[tuple[Fraction, Fraction]] = []
-        trunc: Optional[Fraction] = None
-        sign = 1
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "-":
-            self.next()
-            sign = -1
+        minus = self.next() if self.at("-") else None
         while True:
             exp, coeff = self.term()
             if exp is None:
-                if sign < 0:
-                    raise ParseError("truncation marker cannot be negated", 0)
-                trunc = coeff
+                if minus is not None:
+                    raise ParseError("truncation marker cannot be negated", minus[2])
                 if self.peek() is not None:
                     raise ParseError("truncation marker must come last", self.peek()[2])
-                break
-            terms.append((exp, sign * coeff))
+                return LCNumber(terms, coeff)
+            terms.append((exp, -coeff if minus is not None else coeff))
             tok = self.peek()
             if tok is None:
-                break
+                return LCNumber(terms)
             if tok[1] not in "+-":
                 raise ParseError(f"expected '+' or '-', got {tok[1]!r}", tok[2])
             self.next()
-            sign = 1 if tok[1] == "+" else -1
-        return LCNumber(terms, trunc)
+            minus = tok if tok[1] == "-" else None
 
 
 def parse(src: str) -> LCNumber:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .calculus import derivative
 from .errors import NotUnlimitedError, UndecidableError
 from .expr import Expr, eval_field, eval_rational, parse
 from .number import DEFAULT_DEPTH, EPS, LCNumber
@@ -21,6 +22,8 @@ Rational = Union[int, Fraction]
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
 CONIC_LHS_SRC = "(y + 2 + 2/H)^2 - (x^2 + y^2)*(1 + 4/H + 4/H^2)"
+#: Its syntax tree, parsed once.
+CONIC_LHS = parse(CONIC_LHS_SRC)
 
 #: The original two-radical form: sum of focal distances equals H + 2.
 CONIC_RADICAL_SRC = "sqrt(x^2 + y^2) + sqrt(x^2 + (y - H)^2) - (H + 2)"
@@ -97,7 +100,7 @@ def status_transitus_residual(
     """
     _require_unlimited(H)
     return eval_field(
-        parse(CONIC_LHS_SRC),
+        CONIC_LHS,
         {
             "x": LCNumber.from_rational(Fraction(x)),
             "y": LCNumber.from_rational(Fraction(y)),
@@ -169,7 +172,7 @@ def conic_shadow(
         assert y0 == x0 * x0 / 4 - 1
         points.append((x0, y0))
     coeffs = _fit_parabola(points)
-    return ConicState(H, parse(CONIC_LHS_SRC), coeffs, tuple(points))
+    return ConicState(H, CONIC_LHS, coeffs, tuple(points))
 
 
 def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
@@ -220,7 +223,8 @@ def conic_point(
     a0 = (LCNumber.from_rational(2) + Hinv * 2).pow_int(2) - x * x * (1 + four_terms)
     disc = a1 * a1 - a2 * a0 * 4
     root = disc.nth_root(2, depth)
-    candidates = [(-a1 + root) * (a2 * 2).inv(depth), (-a1 - root) * (a2 * 2).inv(depth)]
+    inv_2a2 = (a2 * 2).inv(depth)
+    candidates = [(-a1 + root) * inv_2a2, (-a1 - root) * inv_2a2]
     for y in candidates:
         try:
             if y.is_limited():
@@ -251,7 +255,7 @@ def conic_chain_residuals(
         rad_a + rad_b - rhs1,
         A + B + (A * B).nth_root(2, depth) * 2 - rhs1 * rhs1,
         (A * B).nth_root(2, depth) * 2 - (rhs1 * rhs1 - A - B),
-        eval_field(parse(CONIC_LHS_SRC), {"x": x, "y": y, "H": H}, depth),
+        eval_field(CONIC_LHS, {"x": x, "y": y, "H": H}, depth),
     ]
     return residuals
 
@@ -263,10 +267,4 @@ def conic_chain_residuals(
 
 def secant_to_tangent(f: Expr, x0: Rational, depth: int = DEFAULT_DEPTH) -> Fraction:
     """Shadow of the chord slope through x0 and x0 + eps."""
-    from .calculus import _single_var  # local import to avoid a cycle
-
-    var = _single_var(f)
-    x0 = Fraction(x0)
-    p = LCNumber.from_rational(x0)
-    rise = eval_field(f, {var: p + EPS}, depth) - eval_field(f, {var: p}, depth)
-    return (rise * EPS.inv(depth)).st()
+    return derivative(f, x0, depth).derivative_value

@@ -154,6 +154,18 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["shadow", "1/0"], "zero denominator (at position 2)"),
+            (["tlh", "O(eps^(1/0))"], "zero denominator (at position 9)"),
+            (["eval", "x^(1/0)", "--at", "x=1"], "zero denominator (at position 5)"),
+        ],
+    )
+    def test_zero_denominator_is_parse_error(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_undecidable_is_1(self, capsys):
         code, _, _ = run(["tlh", "O(eps^(3))"], capsys)
         assert code == 1
@@ -174,6 +186,18 @@ class TestDepthEnvironment:
         monkeypatch.setenv("LC_DEPTH", "banana")
         payload = run_json(["eval", "x", "--at", "x=eps"], capsys)
         assert payload["depth"] == 16
+
+    def test_nonpositive_env_falls_back(self, capsys, monkeypatch):
+        monkeypatch.setenv("LC_DEPTH", "0")
+        payload = run_json(["eval", "x", "--at", "x=eps"], capsys)
+        assert payload["depth"] == 16
+
+    @pytest.mark.parametrize("depth", ["0", "-5"])
+    def test_nonpositive_flag_is_usage_error(self, capsys, depth):
+        code, out, err = run(["eval", "1/(1+x)", "--at", "x=eps", "--depth", depth], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"argument --depth: depth must be at least 1, got {depth}" in err
 
 
 def _declared_lc_command():

@@ -73,6 +73,30 @@ class TestParse:
             parse("log(x)")
 
 
+# (input, message, pos): every ParseError raise site of the expression grammar.
+EXPR_PARSE_ERRORS = [
+    ("   ", "empty expression", 0),
+    ("1 + $", "unexpected character '$'", 4),
+    ("1 +", "unexpected end of input", 3),
+    ("sqrt x", "expected '(', got 'x'", 5),
+    ("x^y", "expected a number, got 'y'", 2),
+    ("x^(1/2.5)", "denominator must be an integer", 5),
+    ("x^(1/0)", "zero denominator", 5),
+    ("x^(-3/0.0)", "zero denominator", 6),
+    ("f(x)", "unknown function 'f'", 0),
+    ("1 + *", "unexpected token '*'", 4),
+    ("(1))", "trailing input ')'", 3),
+]
+
+
+@pytest.mark.parametrize("src, message, pos", EXPR_PARSE_ERRORS)
+def test_parse_error_message_and_position(src, message, pos):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == f"{message} (at position {pos})"
+    assert exc.value.pos == pos
+
+
 @st.composite
 def expr_trees(draw, depth=3):
     """Random syntax trees whose literals all have exact decimal forms."""

@@ -9,6 +9,7 @@ from conftest import exact_numbers, infinitesimals, limited_numbers, nonzero_num
 from lcfield.errors import (
     NegativeRootError,
     NotAnNthPowerError,
+    ParseError,
     UndecidableError,
     UnlimitedError,
     ZeroDivisionLCError,
@@ -298,3 +299,31 @@ class TestCanonicalText:
     def test_examples(self):
         assert render(num("3+2*eps-eps^2")) == "3 + 2*eps - eps^(2)"
         assert render(num("-1/2 * eps^(-3/2)")) == "-1/2*eps^(-3/2)"
+
+
+# (input, message, pos): every ParseError raise site of the number grammar.
+NUMBER_PARSE_ERRORS = [
+    ("   ", "empty number literal", 0),
+    ("2 $", "unexpected character '$'", 2),
+    ("2 /", "unexpected end of input", 3),
+    ("O eps", "expected '(', got 'eps'", 2),
+    ("eps^+", "expected a number, got '+'", 4),
+    ("1/eps", "expected a denominator", 2),
+    ("1/0", "zero denominator", 2),
+    ("O(eps^(1/0))", "zero denominator", 9),
+    ("2 +", "expected a term", 3),
+    ("-O(eps)", "truncation marker cannot be negated", 0),
+    ("3 - O(eps)", "truncation marker cannot be negated", 2),
+    ("3 − O(eps)", "truncation marker cannot be negated", 2),
+    ("O(eps) + 1", "truncation marker must come last", 7),
+    ("2 3", "expected '+' or '-', got '3'", 2),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("src, message, pos", NUMBER_PARSE_ERRORS)
+    def test_message_and_position(self, src, message, pos):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert str(exc.value) == f"{message} (at position {pos})"
+        assert exc.value.pos == pos
