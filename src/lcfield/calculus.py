@@ -161,17 +161,17 @@ def second_differential_check(
     if a == 0:
         raise ValueError("parameter a must be nonzero")
     t0 = Fraction(t0)
-    if second_derivative(g, t0, depth) == 0:
-        raise DegenerateProgressionError("progression has vanishing second differences")
     tvar = _single_var(g)
-    xvar = _single_var(v)
-
     xs = [eval_field(g, {tvar: LCNumber.from_rational(t0) + EPS * i}, depth) for i in range(3)]
+    ddx = xs[2] - xs[1] * 2 + xs[0]
+    # The same test as second_derivative(g, t0, depth) == 0, on the values at hand.
+    if (ddx * (EPS * EPS).inv(depth)).st() == 0:
+        raise DegenerateProgressionError("progression has vanishing second differences")
+    xvar = _single_var(v)
     vs = [eval_field(v, {xvar: x}, depth) for x in xs]
     ys = [x * w * Fraction(1, a) for x, w in zip(xs, vs)]
 
     dx = xs[1] - xs[0]
-    ddx = xs[2] - xs[1] * 2 + xs[0]
     dv = vs[1] - vs[0]
     ddv = vs[2] - vs[1] * 2 + vs[0]
     ddy = ys[2] - ys[1] * 2 + ys[0]

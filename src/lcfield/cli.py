@@ -46,6 +46,19 @@ def _depth_arg(text: str) -> int:
     return depth
 
 
+def _rational_arg(text: str) -> Fraction:
+    """argparse type of a rational such as 2, -1/3 or 0.5, else a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
+def _samples_arg(text: str) -> list[Fraction]:
+    """argparse type of --samples: comma-separated rationals."""
+    return [_rational_arg(s) for s in text.split(",") if s.strip()]
+
+
 def _parse_binding_list(text: str) -> dict[str, LCNumber]:
     binding: dict[str, LCNumber] = {}
     for part in text.split(","):
@@ -80,151 +93,63 @@ def _format_poly_in(coeffs, variable: str) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lc",
-        description="Exact arithmetic with infinitesimals: evaluate, "
-        "differentiate, reduce, and plot.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--depth", type=_depth_arg, default=None, help="truncation depth")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("eval", help="evaluate an expression over the field")
-    p.add_argument("expression")
-    p.add_argument("--at", default="", help="comma-separated name=value bindings")
-    common(p)
-
-    p = sub.add_parser("diff", help="derivative at a rational point")
-    p.add_argument("expression")
-    p.add_argument("--at", required=True, help="rational point")
-    common(p)
-
-    p = sub.add_parser("shadow", help="standard part of a number literal")
-    p.add_argument("number")
-    common(p)
-
-    p = sub.add_parser("tlh", help="keep only the dominant term")
-    p.add_argument("number")
-    common(p)
-
-    p = sub.add_parser("conic", help="shadow parabola of the deformed ellipse")
-    p.add_argument("--samples", default="0,2,4", help="comma-separated abscissas")
-    p.add_argument("--svg", default=None, help="write an SVG plot to this path")
-    common(p)
-
-    p = sub.add_parser("seq", help="decompose and embed a sequence")
-    p.add_argument("sequence", help='"p(n)/q(n)" or "const:pi[:digits]"')
-    common(p)
-
-    p = sub.add_parser("zoom", help="two-pane zoom plot around a point")
-    p.add_argument("number")
-    p.add_argument("--svg", default=None, help="write the SVG to this path")
-    common(p)
-
-    return parser
+def _write_svg(path: str, markup: str, result: dict) -> str:
+    """Write markup to path, record the path in result, return the line reporting it."""
+    with open(path, "w") as fh:
+        fh.write(markup)
+    result["svg_path"] = path
+    return f"svg written to {path}"
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _cmd_eval(args, depth: int) -> int:
+# Each handler returns the JSON result object and the human-readable lines.
+def _cmd_eval(args, depth: int) -> tuple[dict, list[str]]:
     expr = parse_expr(args.expression)
     binding = _parse_binding_list(args.at)
     value = eval_field(expr, binding, depth)
-    _emit(
-        args,
-        {"command": "eval", "depth": depth, "result": {"value": str(value)}},
-        [str(value)],
-    )
-    return 0
+    return {"value": str(value)}, [str(value)]
 
 
-def _cmd_diff(args, depth: int) -> int:
+def _cmd_diff(args, depth: int) -> tuple[dict, list[str]]:
     expr = parse_expr(args.expression)
-    x0 = Fraction(args.at)
-    result = calculus.derivative(expr, x0, depth)
-    _emit(
-        args,
-        {
-            "command": "diff",
-            "depth": depth,
-            "result": {
-                "derivative": str(result.derivative_value),
-                "pre_shadow": str(result.pre_shadow),
-            },
-        },
+    result = calculus.derivative(expr, args.at, depth)
+    return (
+        {"derivative": str(result.derivative_value), "pre_shadow": str(result.pre_shadow)},
         [str(result.derivative_value), f"pre_shadow = {result.pre_shadow}"],
     )
-    return 0
 
 
-def _cmd_shadow(args, depth: int) -> int:
+def _cmd_shadow(args, depth: int) -> tuple[dict, list[str]]:
     value = parse_number(args.number)
     st = value.st()
-    _emit(
-        args,
-        {
-            "command": "shadow",
-            "depth": depth,
-            "result": {"input": str(value), "standard_part": str(st)},
-        },
-        [str(st)],
-    )
-    return 0
+    return {"input": str(value), "standard_part": str(st)}, [str(st)]
 
 
-def _cmd_tlh(args, depth: int) -> int:
+def _cmd_tlh(args, depth: int) -> tuple[dict, list[str]]:
     value = parse_number(args.number)
     reduced = value.tlh()
-    _emit(
-        args,
-        {"command": "tlh", "depth": depth, "result": {"value": str(reduced)}},
-        [str(reduced)],
-    )
-    return 0
+    return {"value": str(reduced)}, [str(reduced)]
 
 
-def _cmd_conic(args, depth: int) -> int:
-    samples = [Fraction(s) for s in args.samples.split(",") if s.strip()]
-    state = shadows.conic_shadow(shadows.default_unlimited(), samples, depth)
+def _cmd_conic(args, depth: int) -> tuple[dict, list[str]]:
+    state = shadows.conic_shadow(shadows.default_unlimited(), args.samples, depth)
     equation = f"y0 = {_format_poly_in(state.shadow_coeffs, 'x0')}"
     points_text = " ".join(f"({x},{y})" for x, y in state.points)
-    payload = {
-        "command": "conic",
-        "depth": depth,
-        "result": {
-            "coefficients": {
-                "A": str(state.shadow_coeffs[0]),
-                "B": str(state.shadow_coeffs[1]),
-                "C": str(state.shadow_coeffs[2]),
-            },
-            "equation": equation,
-            "points": [{"x": str(x), "y": str(y)} for x, y in state.points],
-        },
+    result = {
+        "coefficients": {k: str(c) for k, c in zip("ABC", state.shadow_coeffs)},
+        "equation": equation,
+        "points": [{"x": str(x), "y": str(y)} for x, y in state.points],
     }
     lines = [f"{equation}; points: {points_text}"]
     if args.svg:
         markup = svg.parabola_svg(state.shadow_coeffs, state.points)
-        with open(args.svg, "w") as fh:
-            fh.write(markup)
-        payload["result"]["svg_path"] = args.svg
-        lines.append(f"svg written to {args.svg}")
-    _emit(args, payload, lines)
-    return 0
+        lines.append(_write_svg(args.svg, markup, result))
+    return result, lines
 
 
 _SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 
 
-def _cmd_seq(args, depth: int) -> int:
+def _cmd_seq(args, depth: int) -> tuple[dict, list[str]]:
     seq = sequences.parse_sequence(args.sequence)
     decomposition = sequences.decompose(seq)
     result = {
@@ -244,34 +169,65 @@ def _cmd_seq(args, depth: int) -> int:
         embedded = sequences.asymptotic_embed(seq, depth)
         result["embedding"] = str(embedded)
         lines.append(f"embedding: {embedded}")
-    _emit(args, {"command": "seq", "depth": depth, "result": result}, lines)
-    return 0
+    return result, lines
 
 
-def _cmd_zoom(args, depth: int) -> int:
+def _cmd_zoom(args, depth: int) -> tuple[dict, list[str]]:
     value = parse_number(args.number)
     markup = svg.zoom_svg(value)
     result = {"input": str(value), "standard_part": str(value.st())}
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(markup)
-        result["svg_path"] = args.svg
-        lines = [f"svg written to {args.svg}"]
-    else:
-        lines = [markup.rstrip("\n")]
-    _emit(args, {"command": "zoom", "depth": depth, "result": result}, lines)
-    return 0
+        return result, [_write_svg(args.svg, markup, result)]
+    return result, [markup.rstrip("\n")]
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "diff": _cmd_diff,
-    "shadow": _cmd_shadow,
-    "tlh": _cmd_tlh,
-    "conic": _cmd_conic,
-    "seq": _cmd_seq,
-    "zoom": _cmd_zoom,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lc",
+        description="Exact arithmetic with infinitesimals: evaluate, "
+        "differentiate, reduce, and plot.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="evaluate an expression over the field")
+    p.set_defaults(handler=_cmd_eval)
+    p.add_argument("expression")
+    p.add_argument("--at", default="", help="comma-separated name=value bindings")
+
+    p = sub.add_parser("diff", help="derivative at a rational point")
+    p.set_defaults(handler=_cmd_diff)
+    p.add_argument("expression")
+    p.add_argument("--at", type=_rational_arg, required=True, help="rational point")
+
+    p = sub.add_parser("shadow", help="standard part of a number literal")
+    p.set_defaults(handler=_cmd_shadow)
+    p.add_argument("number")
+
+    p = sub.add_parser("tlh", help="keep only the dominant term")
+    p.set_defaults(handler=_cmd_tlh)
+    p.add_argument("number")
+
+    p = sub.add_parser("conic", help="shadow parabola of the deformed ellipse")
+    p.set_defaults(handler=_cmd_conic)
+    p.add_argument(
+        "--samples", type=_samples_arg, default="0,2,4", help="comma-separated abscissas"
+    )
+    p.add_argument("--svg", default=None, help="write an SVG plot to this path")
+
+    p = sub.add_parser("seq", help="decompose and embed a sequence")
+    p.set_defaults(handler=_cmd_seq)
+    p.add_argument("sequence", help='"p(n)/q(n)" or "const:pi[:digits]"')
+
+    p = sub.add_parser("zoom", help="two-pane zoom plot around a point")
+    p.set_defaults(handler=_cmd_zoom)
+    p.add_argument("number")
+    p.add_argument("--svg", default=None, help="write the SVG to this path")
+
+    # Added last, so they follow each subcommand's own options in --help.
+    for p in sub.choices.values():
+        p.add_argument("--depth", type=_depth_arg, default=None, help="truncation depth")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -282,10 +238,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     depth = args.depth if args.depth is not None else _default_depth()
     try:
-        return _HANDLERS[args.command](args, depth)
-    except (LCError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
+        result, lines = args.handler(args, depth)
+    except (LCError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    envelope = {"command": args.command, "depth": depth, "result": result}
+    print(json.dumps(envelope, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import LCError, ParseError, UnlimitedError, UnsupportedKindError
+from .errors import ParseError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var, parse as parse_expr
 from .number import DEFAULT_DEPTH, LCNumber
 
@@ -135,7 +135,7 @@ class RationalFunctionOfN(RationalSequence):
     @classmethod
     def make(cls, p: Poly, q: Poly) -> "RationalFunctionOfN":
         if q.is_zero:
-            raise ZeroDivisionError("zero denominator polynomial")
+            raise ZeroDivisionLCError("zero denominator polynomial")
         # Integer roots of q lie within the Cauchy bound; the offset is the
         # smallest index past every root.
         bound = max(1, int(1 + max(abs(c / q.leading) for c in q.coeffs)))
@@ -319,7 +319,7 @@ def _as_rational_function(e: Expr) -> tuple[Poly, Poly]:
         pa, qa = _as_rational_function(e.left)
         pb, qb = _as_rational_function(e.right)
         if pb.is_zero:
-            raise ZeroDivisionError("division by the zero sequence")
+            raise ZeroDivisionLCError("division by the zero sequence")
         return pa * qb, qa * pb
     if isinstance(e, Pow):
         if e.exponent.denominator != 1:
@@ -327,9 +327,9 @@ def _as_rational_function(e: Expr) -> tuple[Poly, Poly]:
         k = e.exponent.numerator
         p, q = _as_rational_function(e.base)
         if k < 0:
-            p, q, k = q, p, -k
             if p.is_zero:
-                raise ZeroDivisionError("negative power of the zero sequence")
+                raise ZeroDivisionLCError("negative power of the zero sequence")
+            p, q, k = q, p, -k
         rp, rq = Poly.const(1), Poly.const(1)
         for _ in range(k):
             rp, rq = rp * p, rq * q
@@ -348,6 +348,9 @@ def parse_sequence(src: str) -> RationalSequence:
         if tag not in CONSTANT_DIGITS:
             raise ParseError(f"unknown constant tag {tag!r}", 0)
         digits = int(m.group(2)) if m.group(2) else 20
-        return DecimalTruncation(tag, digits)
+        try:
+            return DecimalTruncation(tag, digits)
+        except ValueError as exc:  # the digit count is out of range
+            raise ParseError(str(exc), m.start(2)) from None
     p, q = _as_rational_function(parse_expr(src))
     return RationalFunctionOfN.make(p, q)

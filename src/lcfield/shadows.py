@@ -250,11 +250,12 @@ def conic_chain_residuals(
     B = x * x + (y - H) * (y - H)
     rad_a = A.nth_root(2, depth)
     rad_b = B.nth_root(2, depth)
+    rad_ab = (A * B).nth_root(2, depth)
     rhs1 = H + 2
     residuals = [
         rad_a + rad_b - rhs1,
-        A + B + (A * B).nth_root(2, depth) * 2 - rhs1 * rhs1,
-        (A * B).nth_root(2, depth) * 2 - (rhs1 * rhs1 - A - B),
+        A + B + rad_ab * 2 - rhs1 * rhs1,
+        rad_ab * 2 - (rhs1 * rhs1 - A - B),
         eval_field(CONIC_LHS, {"x": x, "y": y, "H": H}, depth),
     ]
     return residuals

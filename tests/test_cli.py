@@ -170,6 +170,32 @@ class TestExitCodes:
         code, _, _ = run(["tlh", "O(eps^(3))"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["diff", "x", "--at", "1/0"], "argument --at: invalid rational value: '1/0'"),
+            (["diff", "x", "--at", "abc"], "argument --at: invalid rational value: 'abc'"),
+            (["conic", "--samples", "1/0,2,4"], "argument --samples: invalid rational value: '1/0'"),
+            (["conic", "--samples", "0,abc"], "argument --samples: invalid rational value: 'abc'"),
+        ],
+    )
+    def test_bad_rational_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: {message}\n")
+
+    def test_decimal_rationals_are_accepted(self, capsys):
+        assert run(["diff", "x^2", "--at", "0.5"], capsys) == (0, "1\npre_shadow = 1 + eps\n", "")
+        code, out, _ = run(["conic", "--samples", "0.5,2,4"], capsys)
+        assert (code, out) == (0, "y0 = 1/4*x0^2 - 1; points: (1/2,-15/16) (2,0) (4,3)\n")
+
+    @pytest.mark.parametrize("argv", [["zoom", "1 + eps"], ["conic"]])
+    def test_failed_svg_write_is_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(argv + ["--svg", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
 
 class TestDepthEnvironment:
     def test_env_sets_default(self, capsys, monkeypatch):
@@ -198,6 +224,116 @@ class TestDepthEnvironment:
         assert code == 2
         assert out == ""
         assert f"argument --depth: depth must be at least 1, got {depth}" in err
+
+
+# The --help output of `lc` and of each subcommand at 80 columns, byte for byte.
+HELP = {
+    "": """\
+usage: lc [-h] {eval,diff,shadow,tlh,conic,seq,zoom} ...
+
+Exact arithmetic with infinitesimals: evaluate, differentiate, reduce, and
+plot.
+
+positional arguments:
+  {eval,diff,shadow,tlh,conic,seq,zoom}
+    eval                evaluate an expression over the field
+    diff                derivative at a rational point
+    shadow              standard part of a number literal
+    tlh                 keep only the dominant term
+    conic               shadow parabola of the deformed ellipse
+    seq                 decompose and embed a sequence
+    zoom                two-pane zoom plot around a point
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "eval": """\
+usage: lc eval [-h] [--at AT] [--depth DEPTH] [--json] expression
+
+positional arguments:
+  expression
+
+options:
+  -h, --help     show this help message and exit
+  --at AT        comma-separated name=value bindings
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+    "diff": """\
+usage: lc diff [-h] --at AT [--depth DEPTH] [--json] expression
+
+positional arguments:
+  expression
+
+options:
+  -h, --help     show this help message and exit
+  --at AT        rational point
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+    "shadow": """\
+usage: lc shadow [-h] [--depth DEPTH] [--json] number
+
+positional arguments:
+  number
+
+options:
+  -h, --help     show this help message and exit
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+    "tlh": """\
+usage: lc tlh [-h] [--depth DEPTH] [--json] number
+
+positional arguments:
+  number
+
+options:
+  -h, --help     show this help message and exit
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+    "conic": """\
+usage: lc conic [-h] [--samples SAMPLES] [--svg SVG] [--depth DEPTH] [--json]
+
+options:
+  -h, --help         show this help message and exit
+  --samples SAMPLES  comma-separated abscissas
+  --svg SVG          write an SVG plot to this path
+  --depth DEPTH      truncation depth
+  --json             emit JSON
+""",
+    "seq": """\
+usage: lc seq [-h] [--depth DEPTH] [--json] sequence
+
+positional arguments:
+  sequence       "p(n)/q(n)" or "const:pi[:digits]"
+
+options:
+  -h, --help     show this help message and exit
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+    "zoom": """\
+usage: lc zoom [-h] [--svg SVG] [--depth DEPTH] [--json] number
+
+positional arguments:
+  number
+
+options:
+  -h, --help     show this help message and exit
+  --svg SVG      write the SVG to this path
+  --depth DEPTH  truncation depth
+  --json         emit JSON
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(([command] if command else []) + ["--help"], capsys)
+    assert (code, out, err) == (0, HELP[command], "")
 
 
 def _declared_lc_command():

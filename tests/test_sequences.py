@@ -5,7 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from lcfield.errors import ParseError, UnlimitedError, UnsupportedKindError
+from lcfield.errors import (
+    LCError,
+    ParseError,
+    UnlimitedError,
+    UnsupportedKindError,
+    ZeroDivisionLCError,
+)
 from lcfield.number import EPS, LCNumber
 from lcfield.sequences import (
     DecimalTruncation,
@@ -69,6 +75,35 @@ class TestParsing:
     def test_sqrt_rejected(self):
         with pytest.raises(ParseError):
             seq("sqrt(n)")
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("(n-n)^(-1)", "negative power of the zero sequence"),
+            ("0^(-2)", "negative power of the zero sequence"),
+            ("1/(n-n)", "division by the zero sequence"),
+        ],
+    )
+    def test_zero_sequence_errors(self, src, message):
+        with pytest.raises(ZeroDivisionLCError) as info:
+            seq(src)
+        assert str(info.value) == message
+
+    def test_zero_denominator_polynomial(self):
+        with pytest.raises(ZeroDivisionLCError, match="zero denominator polynomial"):
+            RationalFunctionOfN.make(Poly.const(1), Poly.make([]))
+
+    @pytest.mark.parametrize("src, pos", [("const:pi:0", 9), ("const:pi:999", 9), ("const:e:51", 8)])
+    def test_digit_count_out_of_range(self, src, pos):
+        with pytest.raises(ParseError) as info:
+            seq(src)
+        assert str(info.value) == f"known_digits must be in 1..50 (at position {pos})"
+        assert info.value.pos == pos
+
+    def test_decimal_truncation_keeps_value_error(self):
+        with pytest.raises(ValueError) as info:
+            DecimalTruncation("pi", 0)
+        assert not isinstance(info.value, LCError)
 
 
 class TestRingOps:
