@@ -68,6 +68,8 @@ def _parse_binding_list(text: str) -> dict[str, LCNumber]:
         if "=" not in part:
             raise LCError(f"binding {part!r} is not of the form name=value")
         name, _, value = part.partition("=")
+        if not name.strip():
+            raise LCError(f"binding {part!r} has an empty name")
         binding[name.strip()] = parse_number(value)
     return binding
 

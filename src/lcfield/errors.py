@@ -25,6 +25,14 @@ class ZeroDivisionLCError(LCError, ZeroDivisionError):
     """Division or inversion of an exactly zero element."""
 
 
+class RootIndexError(LCError, ValueError):
+    """An n-th root was requested for an index n that is not positive."""
+
+
+class CoercionError(LCError, TypeError):
+    """An operand is neither an int, a Fraction nor an LCNumber."""
+
+
 class UnlimitedError(LCError):
     """A standard part was requested for a number with a negative-exponent term."""
 

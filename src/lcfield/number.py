@@ -24,9 +24,11 @@ from math import ceil, gcd, isqrt
 from typing import Iterable, Optional, Union
 
 from .errors import (
+    CoercionError,
     NegativeRootError,
     NotAnNthPowerError,
     ParseError,
+    RootIndexError,
     UndecidableError,
     UnlimitedError,
     ZeroDivisionLCError,
@@ -140,26 +142,31 @@ class LCNumber:
 
     __slots__ = ("terms", "trunc")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         terms: Iterable[tuple[Rational, Rational]] = (),
         trunc: Optional[Rational] = None,
-    ):
+    ) -> "LCNumber":
         acc: dict = {}
         for q, c in terms:
             q = Fraction(q)
             acc[q] = acc.get(q, Fraction(0)) + Fraction(c)
-        t = None if trunc is None else Fraction(trunc)
-        self.terms = tuple(
-            sorted((q, c) for q, c in acc.items() if c != 0 and (t is None or q < t))
-        )
-        self.trunc = t
+        return cls._canon(acc.items(), None if trunc is None else Fraction(trunc))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canon(cls, pairs, trunc: Optional[Fraction]) -> "LCNumber":
+        """Trusted: the caller passes distinct ``Fraction`` exponents, ``Fraction`` coefficients
+        and a ``Fraction`` or ``None`` trunc; drops zeros and terms at or above trunc, sorts."""
+        x = object.__new__(cls)
+        x.terms = tuple(sorted((q, c) for q, c in pairs if c and (trunc is None or q < trunc)))
+        x.trunc = trunc
+        return x
+
+    @classmethod
     def from_rational(cls, r: Rational) -> "LCNumber":
-        return cls([(0, Fraction(r))])
+        return cls._canon([(Fraction(0), Fraction(r))], None)
 
     @classmethod
     def monomial(cls, coeff: Rational, exponent: Rational) -> "LCNumber":
@@ -200,16 +207,19 @@ class LCNumber:
             return x
         if isinstance(x, (int, Fraction)):
             return LCNumber.from_rational(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to LCNumber")
+        raise CoercionError(f"cannot coerce {type(x).__name__} to LCNumber")
 
     def __add__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)
-        return LCNumber(list(self.terms) + list(b.terms), _min_trunc(self.trunc, b.trunc))
+        acc = dict(self.terms)
+        for q, c in b.terms:
+            acc[q] = acc[q] + c if q in acc else c
+        return LCNumber._canon(acc.items(), _min_trunc(self.trunc, b.trunc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LCNumber":
-        return LCNumber([(q, -c) for q, c in self.terms], self.trunc)
+        return LCNumber._canon([(q, -c) for q, c in self.terms], self.trunc)
 
     def __sub__(self, other: Scalar) -> "LCNumber":
         return self + (-self._coerce(other))
@@ -236,7 +246,7 @@ class LCNumber:
                 q = qa + qb
                 if bound is None or q < bound:
                     prod[q] = prod.get(q, 0) + ca * cb
-        return LCNumber(prod.items(), bound)
+        return LCNumber._canon(prod.items(), bound)
 
     __rmul__ = __mul__
 
@@ -250,14 +260,13 @@ class LCNumber:
         """Integer power: exact repeated squaring for k >= 0, else a series."""
         if k < 0:
             return self.pow_rational(k, depth)
-        result = LCNumber.from_rational(1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return result
+        return LCNumber.from_rational(1) if result is None else result
 
     def inv(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """Reciprocal series; see :meth:`pow_rational` for its truncation."""
@@ -269,7 +278,7 @@ class LCNumber:
         The leading coefficient must have an exact rational n-th root.
         """
         if n <= 0:
-            raise ValueError("root index must be a positive integer")
+            raise RootIndexError("root index must be a positive integer")
         return self.pow_rational(Fraction(1, n), depth)
 
     def pow_rational(self, alpha: Rational, depth: int = DEFAULT_DEPTH) -> "LCNumber":
@@ -298,7 +307,7 @@ class LCNumber:
         mu = lam * alpha
         rel_known = None if self.trunc is None else self.trunc - lam
         if len(self.terms) == 1:
-            return LCNumber([(mu, r0)], None if rel_known is None else mu + rel_known)
+            return LCNumber._canon([(mu, r0)], None if rel_known is None else mu + rel_known)
         step = self.terms[1][0] - lam
         for e, _ in self.terms[2:]:
             step = _frac_gcd(step, e - lam)
@@ -306,7 +315,7 @@ class LCNumber:
         # u = sum a_j * eps^(j*step); the terms at or above the bound never matter.
         rel = [(int((e - lam) / step), c / c0) for e, c in self.terms[1:] if e - lam < bound]
         g = _binomial_series(rel, alpha, ceil(bound / step))
-        return LCNumber([(mu + k * step, r0 * c) for k, c in enumerate(g)], mu + bound)
+        return LCNumber._canon([(mu + k * step, r0 * c) for k, c in enumerate(g)], mu + bound)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)

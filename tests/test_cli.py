@@ -184,6 +184,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.endswith(f": error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "at, message",
+        [("=3", "binding '=3' has an empty name"), (" = 3, x=2", "binding '= 3' has an empty name")],
+    )
+    def test_empty_binding_name_is_1(self, capsys, at, message):
+        code, out, err = run(["eval", "x", "--at", at], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_decimal_rationals_are_accepted(self, capsys):
         assert run(["diff", "x^2", "--at", "0.5"], capsys) == (0, "1\npre_shadow = 1 + eps\n", "")
         code, out, _ = run(["conic", "--samples", "0.5,2,4"], capsys)

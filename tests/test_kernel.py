@@ -206,6 +206,26 @@ def test_coefficients_match_ring_series(x, alpha, depth):
         assert got == want, (a, str(got), str(want))
 
 
+@given(operands(), operands(), alphas, depths)
+@settings(max_examples=150, deadline=None)
+def test_results_are_canonical(x, y, alpha, depth):
+    """Each result is its own normal form, built from Fractions only."""
+    calls = [lambda: x + y, lambda: x - y, lambda: -x, lambda: x * y, lambda: 2 - x * 3,
+             lambda: x.inv(depth), lambda: x.nth_root(2, depth), lambda: x.nth_root(3, depth),
+             lambda: x.pow_rational(alpha, depth)]
+    calls += [lambda k=k: x.pow_int(k, depth) for k in range(5)]
+    for f in calls:
+        r = outcome(f)
+        if not isinstance(r, LCNumber):
+            continue
+        assert LCNumber(r.terms, r.trunc) == r, str(r)
+        # Checked directly too: the public constructor shares the kernel's filter and sort.
+        assert all(a[0] < b[0] for a, b in zip(r.terms, r.terms[1:])), r.terms
+        assert all(c != 0 and (r.trunc is None or q < r.trunc) for q, c in r.terms), str(r)
+        assert all(type(v) is F for term in r.terms for v in term), r.terms
+        assert r.trunc is None or type(r.trunc) is F, r.trunc
+
+
 @given(operands(), alphas, st.integers(min_value=1, max_value=12))
 @settings(max_examples=150, deadline=None)
 def test_doubling_the_depth_refines(x, alpha, depth):

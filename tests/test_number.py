@@ -7,9 +7,12 @@ from hypothesis import given, settings
 
 from conftest import exact_numbers, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals, rationals
 from lcfield.errors import (
+    CoercionError,
+    LCError,
     NegativeRootError,
     NotAnNthPowerError,
     ParseError,
+    RootIndexError,
     UndecidableError,
     UnlimitedError,
     ZeroDivisionLCError,
@@ -44,6 +47,12 @@ class TestAdd:
     @given(exact_numbers)
     def test_additive_inverse(self, a):
         assert a + (-a) == ZERO
+
+    @pytest.mark.parametrize("op", [lambda a: a + 1.5, lambda a: a * "a", lambda a: 1.5 - a])
+    def test_non_rational_operand_is_typed(self, op):
+        with pytest.raises(CoercionError, match=r"^cannot coerce (float|str) to LCNumber$") as info:
+            op(LCNumber.from_rational(4))
+        assert isinstance(info.value, LCError) and isinstance(info.value, TypeError)
 
 
 class TestMul:
@@ -244,6 +253,12 @@ class TestRoots:
     def test_negative_even_root_raises(self):
         with pytest.raises(NegativeRootError):
             LCNumber.from_rational(-4).nth_root(2)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_root_index_is_typed(self, n):
+        with pytest.raises(RootIndexError, match="^root index must be a positive integer$") as info:
+            LCNumber.from_rational(4).nth_root(n)
+        assert isinstance(info.value, LCError) and isinstance(info.value, ValueError)
 
     @given(nonzero_numbers, nonzero_rationals)
     @settings(max_examples=200)
