@@ -2,7 +2,8 @@
 
 The same syntax tree can be evaluated over plain rationals
 (:func:`eval_rational`) or over :class:`~lcfield.number.LCNumber` values
-(:func:`eval_field`).  Nothing in the evaluator special-cases infinitesimal or
+(:func:`eval_field`); each is a table of rules for the one tree walker
+:func:`fold`.  Nothing in the evaluator special-cases infinitesimal or
 unlimited inputs: rules instituted on finite rationals are applied unchanged
 to inassignable values, and :func:`transfer_check` probes that this actually
 preserves identities.
@@ -19,19 +20,20 @@ Grammar (also in docs/grammar.md)::
 
 NUMBER is an unsigned integer or decimal literal (read exactly, never as a
 float); NAME matches ``[a-zA-Z][a-zA-Z0-9_]*``.  ``^`` binds tighter than
-unary minus; ``*``/``/`` and ``+``/``-`` are left-associative.
+unary minus; ``*``/``/`` and ``+``/``-`` are left-associative.  ``(`` and
+``sqrt(`` nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import (
-    LCError,
     NotAnNthPowerError,
     NotAPerfectSquareError,
     ParseError,
@@ -100,18 +102,56 @@ class Sqrt:
 Expr = Union[Var, Lit, Add, Sub, Mul, Div, Neg, Pow, Sqrt]
 
 
+# Per node type: the fields holding its operand subtrees, in evaluation order,
+# and the field whose value follows the operands' values into the ring, if any.
+_SHAPES = {
+    Var: ((), "name"),
+    Lit: ((), "value"),
+    Pow: (("base",), "exponent"),
+    **dict.fromkeys((Neg, Sqrt), (("operand",), None)),
+    **dict.fromkeys((Add, Sub, Mul, Div), (("left", "right"), None)),
+}
+
+
+def fold(e: Expr, ring: Mapping[type, Callable]):
+    """Evaluate ``e`` bottom-up, calling ``ring[type(node)]`` at every node.
+
+    A Var's entry gets its name, a Lit's its value, a Pow's its base's value
+    and then the exponent, and every other node's entry its operands' values.
+    Operands are evaluated left to right.  Two loops over explicit lists stand
+    in for recursion, so no tree is too deep to walk.
+    """
+    preorder, stack = [], [e]  # right operands first: reversed, it is left-to-right postorder
+    while stack:
+        node = stack.pop()
+        if type(node) not in _SHAPES:
+            raise TypeError(f"not an expression node: {node!r}")
+        preorder.append(node)
+        for name in _SHAPES[type(node)][0]:
+            stack.append(getattr(node, name))
+    values: list = []
+    for node in reversed(preorder):
+        operands, data = _SHAPES[type(node)]
+        split = len(values) - len(operands)
+        args = values[split:]
+        del values[split:]
+        if data is not None:
+            args.append(getattr(node, data))
+        values.append(ring[type(node)](*args))
+    return values[0]
+
+
+_FREE_VARS = {
+    Var: lambda name: frozenset([name]),
+    Lit: lambda value: frozenset(),
+    Pow: lambda names, exponent: names,
+    **dict.fromkeys((Neg, Sqrt), lambda names: names),
+    **dict.fromkeys((Add, Sub, Mul, Div), operator.or_),
+}
+
+
 def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset([e.name])
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, (Neg, Sqrt)):
-        return free_vars(e.operand)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(e, _FREE_VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +159,15 @@ def free_vars(e: Expr) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
+#: Deepest nesting of "(" and "sqrt(" the parser accepts.  Each level costs
+#: six frames of recursive descent; this keeps them far below Python's limit.
+MAX_NESTING = 100
+
+
 class _Parser(_Cursor):
     TOKEN_RE = re.compile(r"(\d+\.\d+|\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([+\-*/^()])|(\S)")
     KINDS = ("num", "name", "op")
+    nesting = 0
 
     def expr(self) -> Expr:
         node = self.term()
@@ -140,10 +186,14 @@ class _Parser(_Cursor):
         return node
 
     def unary(self) -> Expr:
-        if self.at("-"):
+        signs = 0
+        while self.at("-"):
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -187,19 +237,27 @@ class _Parser(_Cursor):
         if tok[0] == "name":
             if tok[1] == "sqrt":
                 self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return Sqrt(inner)
+                return Sqrt(self.group(tok))
             if self.at("("):
                 raise ParseError(f"unknown function {tok[1]!r}", tok[2])
             return Var(tok[1])
         if tok[1] == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.group(tok)
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
+    def group(self, opener: tuple[str, str, int]) -> Expr:
+        """``expr ")"``, one nesting level below the ``opener`` token."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError("expression nested too deeply", opener[2])
+        self.nesting += 1
+        inner = self.expr()
+        self.expect(")")
+        self.nesting -= 1
+        return inner
+
     def parse(self) -> Expr:
+        if not self.tokens:
+            raise ParseError("empty expression", 0)
         node = self.expr()
         tok = self.peek()
         if tok is not None:
@@ -208,8 +266,6 @@ class _Parser(_Cursor):
 
 
 def parse(src: str) -> Expr:
-    if not src.strip():
-        raise ParseError("empty expression", 0)
     return _Parser(src).parse()
 
 
@@ -248,31 +304,28 @@ def _render_exponent(q: Fraction) -> str:
     return f"({q.numerator}/{q.denominator})"
 
 
+def _render_literal(value: Fraction) -> str:
+    mag = abs(value)
+    dec = _decimal_str(mag)
+    text = dec if dec is not None else f"({mag.numerator}/{mag.denominator})"
+    return f"(-{text})" if value < 0 else text
+
+
+_RENDER = {
+    Var: str,
+    Lit: _render_literal,
+    Neg: "(-{})".format,
+    Sqrt: "sqrt({})".format,
+    Pow: lambda base, exponent: f"({base}^{_render_exponent(exponent)})",
+    Add: "({} + {})".format,
+    Sub: "({} - {})".format,
+    Mul: "({}*{})".format,
+    Div: "({}/{})".format,
+}
+
+
 def render(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Lit):
-        if e.value < 0:
-            return f"(-{render(Lit(-e.value))})"
-        dec = _decimal_str(e.value)
-        if dec is not None:
-            return dec
-        return f"({e.value.numerator}/{e.value.denominator})"
-    if isinstance(e, Add):
-        return f"({render(e.left)} + {render(e.right)})"
-    if isinstance(e, Sub):
-        return f"({render(e.left)} - {render(e.right)})"
-    if isinstance(e, Mul):
-        return f"({render(e.left)}*{render(e.right)})"
-    if isinstance(e, Div):
-        return f"({render(e.left)}/{render(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{render(e.operand)})"
-    if isinstance(e, Pow):
-        return f"({render(e.base)}^{_render_exponent(e.exponent)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({render(e.operand)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(e, _RENDER)
 
 
 # ---------------------------------------------------------------------------
@@ -280,78 +333,71 @@ def render(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _lookup(binding: Mapping, convert: Callable) -> Callable:
+    """The Var entry of a ring: the bound value of a name, converted."""
+
+    def var(name: str):
+        if name not in binding:
+            raise UnboundVariableError(f"variable {name!r} is not bound")
+        return convert(binding[name])
+
+    return var
+
+
+# The entries that hold in both rings and do not depend on the call.
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Neg: operator.neg}
+_FIELD = {**_ARITHMETIC, Lit: LCNumber.from_rational}
+
+
 def eval_field(
     e: Expr, binding: Mapping[str, LCNumber], depth: int = DEFAULT_DEPTH
 ) -> LCNumber:
     """Evaluate over the field, applying finite-realm rules verbatim."""
-    if isinstance(e, Var):
-        try:
-            value = binding[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {e.name!r} is not bound") from None
-        return LCNumber._coerce(value)
-    if isinstance(e, Lit):
-        return LCNumber.from_rational(e.value)
-    if isinstance(e, Add):
-        return eval_field(e.left, binding, depth) + eval_field(e.right, binding, depth)
-    if isinstance(e, Sub):
-        return eval_field(e.left, binding, depth) - eval_field(e.right, binding, depth)
-    if isinstance(e, Mul):
-        return eval_field(e.left, binding, depth) * eval_field(e.right, binding, depth)
-    if isinstance(e, Div):
-        num = eval_field(e.left, binding, depth)
-        den = eval_field(e.right, binding, depth)
-        return num * den.inv(depth)
-    if isinstance(e, Neg):
-        return -eval_field(e.operand, binding, depth)
-    if isinstance(e, Pow):
-        base = eval_field(e.base, binding, depth)
-        q = e.exponent
+
+    def pow_(base: LCNumber, q: Fraction) -> LCNumber:
         if q.denominator == 1:
             return base.pow_int(q.numerator, depth)
         return base.pow_rational(q, depth)
-    if isinstance(e, Sqrt):
-        return eval_field(e.operand, binding, depth).nth_root(2, depth)
-    raise TypeError(f"not an expression node: {e!r}")
+
+    ring = {**_FIELD, Var: _lookup(binding, LCNumber._coerce), Pow: pow_}
+    ring[Div] = lambda num, den: num * den.inv(depth)
+    ring[Sqrt] = lambda value: value.nth_root(2, depth)
+    return fold(e, ring)
+
+
+def _rational_div(num: Fraction, den: Fraction) -> Fraction:
+    if den == 0:
+        raise ZeroDivisionLCError("division by zero")
+    return num / den
+
+
+def _rational_pow(base: Fraction, q: Fraction) -> Fraction:
+    if q < 0 and base == 0:
+        raise ZeroDivisionLCError("zero to a negative power")
+    if q.denominator == 1:
+        return base**q.numerator
+    return rational_nth_root(base**q.numerator, q.denominator)
+
+
+def _rational_sqrt(value: Fraction) -> Fraction:
+    try:
+        return rational_nth_root(value, 2)
+    except NotAnNthPowerError:
+        raise NotAPerfectSquareError(f"{value} is not a perfect rational square") from None
+
+
+_RATIONAL = {
+    **_ARITHMETIC,
+    Lit: lambda value: value,
+    Div: _rational_div,
+    Pow: _rational_pow,
+    Sqrt: _rational_sqrt,
+}
 
 
 def eval_rational(e: Expr, binding: Mapping[str, Fraction]) -> Fraction:
     """Evaluate over plain rationals (the finite-realm baseline)."""
-    if isinstance(e, Var):
-        try:
-            return Fraction(binding[e.name])
-        except KeyError:
-            raise UnboundVariableError(f"variable {e.name!r} is not bound") from None
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Add):
-        return eval_rational(e.left, binding) + eval_rational(e.right, binding)
-    if isinstance(e, Sub):
-        return eval_rational(e.left, binding) - eval_rational(e.right, binding)
-    if isinstance(e, Mul):
-        return eval_rational(e.left, binding) * eval_rational(e.right, binding)
-    if isinstance(e, Div):
-        den = eval_rational(e.right, binding)
-        if den == 0:
-            raise ZeroDivisionLCError("division by zero")
-        return eval_rational(e.left, binding) / den
-    if isinstance(e, Neg):
-        return -eval_rational(e.operand, binding)
-    if isinstance(e, Pow):
-        base = eval_rational(e.base, binding)
-        q = e.exponent
-        if q < 0 and base == 0:
-            raise ZeroDivisionLCError("zero to a negative power")
-        if q.denominator == 1:
-            return base**q.numerator
-        return rational_nth_root(base**q.numerator, q.denominator)
-    if isinstance(e, Sqrt):
-        val = eval_rational(e.operand, binding)
-        try:
-            return rational_nth_root(val, 2)
-        except NotAnNthPowerError:
-            raise NotAPerfectSquareError(f"{val} is not a perfect rational square") from None
-    raise TypeError(f"not an expression node: {e!r}")
+    return fold(e, {**_RATIONAL, Var: _lookup(binding, Fraction)})
 
 
 # ---------------------------------------------------------------------------
@@ -424,51 +470,28 @@ def transfer_check(
     names = sorted(free_vars(lhs) | free_vars(rhs))
     report = TransferReport(ok=True, rational_trials=0, field_trials=0)
 
-    attempts = 0
-    while report.rational_trials < trials and attempts < trials * 20:
-        attempts += 1
-        binding = {name: _random_rational(rng) for name in names}
-        try:
-            diff = eval_rational(lhs, binding) - eval_rational(rhs, binding)
-        except (ZeroDivisionLCError, NotAnNthPowerError):
-            continue
-        report.rational_trials += 1
-        if diff != 0:
-            report.ok = False
-            report.failures.append(
-                TransferFailure(
-                    "rational",
-                    {k: str(v) for k, v in binding.items()},
-                    f"difference {diff}",
-                )
-            )
+    def probe(kind: str, draw: Callable, evaluate: Callable, differs: Callable) -> int:
+        """Trials of one ring, each at a fresh binding; returns how many were decided."""
+        done = attempts = 0
+        while done < trials and attempts < trials * 20:
+            attempts += 1
+            binding = {name: draw(rng) for name in names}
+            try:
+                diff = evaluate(lhs, binding) - evaluate(rhs, binding)
+                failure = (kind, f"difference {diff}") if differs(diff) else None
+            except UndecidableError as exc:
+                failure = ("undecidable", str(exc))
+            except (ZeroDivisionLCError, NotAnNthPowerError):
+                continue
+            done += 1
+            if failure is not None:
+                report.ok = False
+                shown = {k: str(v) for k, v in binding.items()}
+                report.failures.append(TransferFailure(failure[0], shown, failure[1]))
+        return done
 
-    attempts = 0
-    while report.field_trials < trials and attempts < trials * 20:
-        attempts += 1
-        binding = {name: random_field_value(rng) for name in names}
-        try:
-            diff = eval_field(lhs, binding, depth) - eval_field(rhs, binding, depth)
-        except UndecidableError as exc:
-            report.field_trials += 1
-            report.ok = False
-            report.failures.append(
-                TransferFailure(
-                    "undecidable", {k: str(v) for k, v in binding.items()}, str(exc)
-                )
-            )
-            continue
-        except (ZeroDivisionLCError, NotAnNthPowerError):
-            continue
-        report.field_trials += 1
-        if diff.terms:
-            report.ok = False
-            report.failures.append(
-                TransferFailure(
-                    "field",
-                    {k: str(v) for k, v in binding.items()},
-                    f"difference {diff}",
-                )
-            )
-
+    report.rational_trials = probe("rational", _random_rational, eval_rational, lambda d: d != 0)
+    report.field_trials = probe(
+        "field", random_field_value, lambda e, b: eval_field(e, b, depth), lambda d: bool(d.terms)
+    )
     return report

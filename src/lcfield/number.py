@@ -137,6 +137,14 @@ def _binomial_series(rel: list, alpha: Fraction, n: int) -> list:
     return g
 
 
+def _exact(x, kinds: tuple = (int, Fraction)):
+    """x itself if it is one of ``kinds``; a float, say, is refused, never rounded."""
+    if isinstance(x, kinds):
+        return x
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise CoercionError(f"expected {names}, got {type(x).__name__}")
+
+
 class LCNumber:
     """A truncated series in the infinitesimal ``eps`` with rational data."""
 
@@ -149,9 +157,9 @@ class LCNumber:
     ) -> "LCNumber":
         acc: dict = {}
         for q, c in terms:
-            q = Fraction(q)
-            acc[q] = acc.get(q, Fraction(0)) + Fraction(c)
-        return cls._canon(acc.items(), None if trunc is None else Fraction(trunc))
+            q = Fraction(_exact(q))
+            acc[q] = acc.get(q, Fraction(0)) + Fraction(_exact(c))
+        return cls._canon(acc.items(), None if trunc is None else Fraction(_exact(trunc)))
 
     # -- constructors ------------------------------------------------------
 
@@ -166,11 +174,11 @@ class LCNumber:
 
     @classmethod
     def from_rational(cls, r: Rational) -> "LCNumber":
-        return cls._canon([(Fraction(0), Fraction(r))], None)
+        return cls._canon([(Fraction(0), Fraction(_exact(r)))], None)
 
     @classmethod
     def monomial(cls, coeff: Rational, exponent: Rational) -> "LCNumber":
-        return cls([(Fraction(exponent), Fraction(coeff))])
+        return cls([(exponent, coeff)])
 
     # -- basic structure ---------------------------------------------------
 
@@ -258,6 +266,7 @@ class LCNumber:
 
     def pow_int(self, k: int, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """Integer power: exact repeated squaring for k >= 0, else a series."""
+        _exact(k, (int,))
         if k < 0:
             return self.pow_rational(k, depth)
         result, base = None, self
@@ -277,6 +286,7 @@ class LCNumber:
 
         The leading coefficient must have an exact rational n-th root.
         """
+        _exact(n, (int,))
         if n <= 0:
             raise RootIndexError("root index must be a positive integer")
         return self.pow_rational(Fraction(1, n), depth)
@@ -291,7 +301,7 @@ class LCNumber:
         if the operand's own truncation gives out first.  Unlike
         :meth:`pow_int`, a positive integer alpha is truncated as well.
         """
-        alpha = Fraction(alpha)
+        alpha = Fraction(_exact(alpha))
         p, q = alpha.numerator, alpha.denominator
         if not self.terms:
             if self.trunc is None:

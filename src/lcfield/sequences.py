@@ -19,11 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ParseError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
-from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var, parse as parse_expr
-from .number import DEFAULT_DEPTH, LCNumber
+from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
+from .number import DEFAULT_DEPTH, ONE, LCNumber
 
 Rational = Union[int, Fraction]
 
@@ -35,81 +35,26 @@ CONSTANT_DIGITS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Exact univariate polynomials (ascending coefficients)
-# ---------------------------------------------------------------------------
+#: The index n, as the unlimited eps^(-1); a polynomial in n is an exact
+#: LCNumber whose term c*n^i is stored as c*eps^(-i).
+N = LCNumber.monomial(1, -1)
 
 
-@dataclass(frozen=True)
-class Poly:
-    coeffs: tuple[Fraction, ...]  # ascending; no trailing zeros
+def _at(p: LCNumber, n: Rational) -> Fraction:
+    """Value of a polynomial in n at the index n."""
+    return sum((c * Fraction(n) ** int(-e) for e, c in p.terms), Fraction(0))
 
-    @classmethod
-    def make(cls, coeffs) -> "Poly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
 
-    @classmethod
-    def const(cls, c: Rational) -> "Poly":
-        return cls.make([c])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        # -1 for the zero polynomial, by convention.
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly.make([x + y for x, y in zip(a, b)])
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.make(out)
-
-    def __call__(self, n: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*n" if abs(c) != 1 else ("-n" if c < 0 else "n"))
-            else:
-                head = f"{c}*" if abs(c) != 1 else ("-" if c < 0 else "")
-                parts.append(f"{head}n^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
+def _poly_text(p: LCNumber) -> str:
+    """The polynomial in ascending powers of n, e.g. ``1 - 2*n + n^3``."""
+    parts = []
+    for e, c in reversed(p.terms):
+        if e == 0:
+            parts.append(str(c))
+            continue
+        power = "n" if e == -1 else f"n^{-e}"
+        parts.append(f"{c}*{power}" if abs(c) != 1 else ("-" if c < 0 else "") + power)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -126,36 +71,43 @@ class RationalSequence:
 
 @dataclass(frozen=True)
 class RationalFunctionOfN(RationalSequence):
-    """The sequence n |-> p(n)/q(n)."""
+    """The sequence n |-> p(n)/q(n).
 
-    p: Poly
-    q: Poly
+    ``p`` and ``q`` are exact polynomials in n, held as LCNumbers in
+    eps = 1/n (see :data:`N`).
+    """
+
+    p: LCNumber
+    q: LCNumber
     offset: int = 1  # first index where q is guaranteed nonzero
 
     @classmethod
-    def make(cls, p: Poly, q: Poly) -> "RationalFunctionOfN":
+    def make(cls, p: LCNumber, q: LCNumber) -> "RationalFunctionOfN":
         if q.is_zero:
             raise ZeroDivisionLCError("zero denominator polynomial")
+        exact = p.trunc is None and q.trunc is None
+        if not exact or any(e > 0 or e.denominator != 1 for e, _ in p.terms + q.terms):
+            raise UnsupportedKindError("p and q must be exact polynomials in n")
         # Integer roots of q lie within the Cauchy bound; the offset is the
         # smallest index past every root.
-        bound = max(1, int(1 + max(abs(c / q.leading) for c in q.coeffs)))
+        bound = max(1, int(1 + max(abs(c / q.leading_coefficient) for _, c in q.terms)))
         offset = 1
         for n in range(1, bound + 1):
-            if q(n) == 0:
+            if _at(q, n) == 0:
                 offset = n + 1
         return cls(p, q, offset)
 
     @classmethod
     def constant(cls, c: Rational) -> "RationalFunctionOfN":
-        return cls.make(Poly.const(c), Poly.const(1))
+        return cls.make(LCNumber.from_rational(c), ONE)
 
     def term(self, n: int) -> Fraction:
         if n < self.offset:
             raise IndexError(f"sequence defined from index {self.offset}")
-        return self.p(n) / self.q(n)
+        return _at(self.p, n) / _at(self.q, n)
 
     def __str__(self) -> str:
-        return f"({self.p})/({self.q})"
+        return f"({_poly_text(self.p)})/({_poly_text(self.q)})"
 
 
 @dataclass(frozen=True)
@@ -209,7 +161,7 @@ def seq_add(a: RationalSequence, b: RationalSequence) -> RationalSequence:
     if isinstance(a, RationalFunctionOfN):
         a, b = b, a
     if isinstance(a, DecimalTruncation) and isinstance(b, RationalFunctionOfN):
-        if b.p.degree <= 0 and b.q.degree <= 0:
+        if b.p.leading_exponent >= 0 and b.q.leading_exponent >= 0:  # both constants
             c = b.term(b.offset)
             return DecimalTruncation(a.tag, a.known_digits, a.shift + c)
         raise UnsupportedKindError(
@@ -227,7 +179,8 @@ def seq_mul(a: RationalSequence, b: RationalSequence) -> RationalSequence:
 def is_null(a: RationalSequence) -> bool:
     """Does the sequence tend to zero?"""
     if isinstance(a, RationalFunctionOfN):
-        return a.p.is_zero or a.p.degree < a.q.degree
+        # Decided by the embedding's leading term, which is exact at any depth.
+        return asymptotic_embed(a, 1).is_infinitesimal()
     if isinstance(a, DecimalTruncation):
         # Bounded below, away from zero: the constants are irrational,
         # so truncations settle near tag + shift != 0.
@@ -245,11 +198,7 @@ def eventually_dominates(a: RationalSequence, b: RationalSequence) -> bool:
     """Is a_n > b_n for all sufficiently large n?"""
     if not (isinstance(a, RationalFunctionOfN) and isinstance(b, RationalFunctionOfN)):
         raise UnsupportedKindError("dominance needs rational functions of n")
-    d = seq_add(a, RationalFunctionOfN.make(-b.p, b.q))
-    assert isinstance(d, RationalFunctionOfN)
-    if d.p.is_zero:
-        return False
-    return (d.p.leading > 0) == (d.q.leading > 0)
+    return asymptotic_embed(seq_add(a, RationalFunctionOfN.make(-b.p, b.q)), 1) > 0
 
 
 def decompose(a: RationalSequence) -> Decomposition:
@@ -259,19 +208,13 @@ def decompose(a: RationalSequence) -> Decomposition:
         return Decomposition(a.constant_label, -1)
     if not isinstance(a, RationalFunctionOfN):
         raise UnsupportedKindError(f"unsupported kind {type(a).__name__}")
-    if not a.p.is_zero and a.p.degree > a.q.degree:
+    # The embedding's leading term is exact at any depth, and it decides all.
+    lead = asymptotic_embed(a, 1)
+    if not lead.is_limited():
         raise UnlimitedError("sequence is unbounded; no finite limit")
-    if a.p.degree == a.q.degree:
-        limit = a.p.leading / a.q.leading
-    else:
-        limit = Fraction(0)
-    residue = seq_add(a, RationalFunctionOfN.constant(-limit))
-    assert isinstance(residue, RationalFunctionOfN)
-    if residue.p.is_zero:
-        sign = 0
-    else:
-        sign = 1 if (residue.p.leading > 0) == (residue.q.leading > 0) else -1
-    return Decomposition(limit, sign)
+    limit = lead.st()
+    residue = asymptotic_embed(seq_add(a, RationalFunctionOfN.constant(-limit)), 1)
+    return Decomposition(limit, residue.compare(0).value)
 
 
 def asymptotic_embed(a: RationalSequence, depth: int = DEFAULT_DEPTH) -> LCNumber:
@@ -282,75 +225,75 @@ def asymptotic_embed(a: RationalSequence, depth: int = DEFAULT_DEPTH) -> LCNumbe
     """
     if not isinstance(a, RationalFunctionOfN):
         raise UnsupportedKindError("embedding needs a rational function of n")
-    num = LCNumber([(-i, c) for i, c in enumerate(a.p.coeffs)])
-    den = LCNumber([(-i, c) for i, c in enumerate(a.q.coeffs)])
-    return num * den.inv(depth)
+    return a.p * a.q.inv(depth)
 
 
 # ---------------------------------------------------------------------------
 # Sequence literals
 # ---------------------------------------------------------------------------
 
-_CONST_RE = re.compile(r"const:([a-zA-Z][a-zA-Z0-9]*)(?::(\d+))?$")
+_CONST_RE = re.compile(r"\s*const:([a-zA-Z][a-zA-Z0-9]*)(?::(\d+))?\s*$")
 
 
-def _as_rational_function(e: Expr) -> tuple[Poly, Poly]:
-    """Fold an expression in the single variable n into a (p, q) pair."""
-    if isinstance(e, Var):
-        if e.name != "n":
-            raise ParseError(f"sequences use the index variable 'n', not {e.name!r}", 0)
-        return Poly.make([0, 1]), Poly.const(1)
-    if isinstance(e, Lit):
-        return Poly.const(e.value), Poly.const(1)
-    if isinstance(e, Neg):
-        p, q = _as_rational_function(e.operand)
-        return -p, q
-    if isinstance(e, (Add, Sub)):
-        pa, qa = _as_rational_function(e.left)
-        pb, qb = _as_rational_function(e.right)
-        if isinstance(e, Sub):
-            pb = -pb
-        return pa * qb + pb * qa, qa * qb
-    if isinstance(e, Mul):
-        pa, qa = _as_rational_function(e.left)
-        pb, qb = _as_rational_function(e.right)
-        return pa * pb, qa * qb
-    if isinstance(e, Div):
-        pa, qa = _as_rational_function(e.left)
-        pb, qb = _as_rational_function(e.right)
-        if pb.is_zero:
-            raise ZeroDivisionLCError("division by the zero sequence")
-        return pa * qb, qa * pb
-    if isinstance(e, Pow):
-        if e.exponent.denominator != 1:
-            raise ParseError("sequence powers must be integers", 0)
-        k = e.exponent.numerator
-        p, q = _as_rational_function(e.base)
-        if k < 0:
-            if p.is_zero:
-                raise ZeroDivisionLCError("negative power of the zero sequence")
-            p, q, k = q, p, -k
-        rp, rq = Poly.const(1), Poly.const(1)
-        for _ in range(k):
-            rp, rq = rp * p, rq * q
-        return rp, rq
-    if isinstance(e, Sqrt):
-        raise ParseError("sqrt is not available in sequence literals", 0)
-    raise TypeError(f"not an expression node: {e!r}")
+class _SequenceParser(_Parser):
+    """The expression grammar restricted to sequence literals: the one name
+    ``n``, no ``sqrt`` and integer powers only."""
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if self.at("sqrt"):
+            raise ParseError("sqrt is not available in sequence literals", tok[2])
+        node = super().atom()
+        if type(node) is Var and node.name != "n":
+            raise ParseError(f"sequences use the index variable 'n', not {node.name!r}", tok[2])
+        return node
+
+    def exponent(self) -> Fraction:
+        tok = self.peek()
+        q = super().exponent()
+        if q.denominator != 1:
+            raise ParseError("sequence powers must be integers", tok[2])
+        return q
+
+
+def _seq_div(a: tuple, b: tuple) -> tuple:
+    if b[0].is_zero:
+        raise ZeroDivisionLCError("division by the zero sequence")
+    return a[0] * b[1], a[1] * b[0]
+
+
+def _seq_pow(a: tuple, q: Fraction) -> tuple:
+    if q < 0 and a[0].is_zero:
+        raise ZeroDivisionLCError("negative power of the zero sequence")
+    p, r = a if q >= 0 else reversed(a)
+    k = abs(q.numerator)
+    return p.pow_int(k), r.pow_int(k)
+
+
+# Values are pairs (p, q) of polynomials in n, read as p(n)/q(n).
+_SEQUENCE_RING = {
+    Var: lambda name: (N, ONE),
+    Lit: lambda value: (LCNumber.from_rational(value), ONE),
+    Add: lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]),
+    Sub: lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1]),
+    Mul: lambda a, b: (a[0] * b[0], a[1] * b[1]),
+    Div: _seq_div,
+    Neg: lambda a: (-a[0], a[1]),
+    Pow: _seq_pow,
+}
 
 
 def parse_sequence(src: str) -> RationalSequence:
     """Parse "poly(n)/poly(n)" (expression syntax in n) or "const:pi[:digits]"."""
-    src = src.strip()
     m = _CONST_RE.match(src)
     if m:
         tag = m.group(1)
         if tag not in CONSTANT_DIGITS:
-            raise ParseError(f"unknown constant tag {tag!r}", 0)
+            raise ParseError(f"unknown constant tag {tag!r}", m.start(1))
         digits = int(m.group(2)) if m.group(2) else 20
         try:
             return DecimalTruncation(tag, digits)
         except ValueError as exc:  # the digit count is out of range
             raise ParseError(str(exc), m.start(2)) from None
-    p, q = _as_rational_function(parse_expr(src))
+    p, q = fold(_SequenceParser(src).parse(), _SEQUENCE_RING)
     return RationalFunctionOfN.make(p, q)

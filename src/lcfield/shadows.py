@@ -117,11 +117,8 @@ def _shadow_y(H: LCNumber, x0: Fraction, depth: int) -> Fraction:
     polynomial in y from three probes; the quadratic coefficient cancels, so
     the relation is linear in y and solved exactly.
     """
-    probes = [status_transitus_residual(H, x0, y, depth).st() for y in range(3)]
-    # p(y) = c0 + c1*y + c2*y^2 through p(0), p(1), p(2).
-    c0 = probes[0]
-    c2 = (probes[2] - 2 * probes[1] + probes[0]) / 2
-    c1 = probes[1] - probes[0] - c2
+    probes = [(Fraction(y), status_transitus_residual(H, x0, y, depth).st()) for y in range(3)]
+    c2, c1, c0 = _fit_parabola(probes)
     if c2 != 0:
         raise ArithmeticError("shadow relation is not linear in y")
     if c1 == 0:
@@ -139,21 +136,11 @@ def _fit_parabola(
     if len(distinct) < 3:
         raise ValueError("need at least 3 distinct sample abscissas")
     (x1, y1), (x2, y2), (x3, y3) = list(distinct.items())[:3]
-    # Gaussian elimination on the 3x3 Vandermonde system, exactly.
-    rows = [
-        [x1 * x1, x1, Fraction(1), y1],
-        [x2 * x2, x2, Fraction(1), y2],
-        [x3 * x3, x3, Fraction(1), y3],
-    ]
-    for col in range(3):
-        pivot = next(r for r in range(col, 3) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r in range(3):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    A, B, C = rows[0][3], rows[1][3], rows[2][3]
+    # Newton divided differences: y = y1 + d12*(x - x1) + A*(x - x1)*(x - x2).
+    d12 = (y2 - y1) / (x2 - x1)
+    A = ((y3 - y2) / (x3 - x2) - d12) / (x3 - x1)
+    B = d12 - A * (x1 + x2)
+    C = y1 - d12 * x1 + A * x1 * x2
     for x, y in distinct.items():
         if A * x * x + B * x + C != y:
             raise ArithmeticError("sample points do not lie on one parabola")

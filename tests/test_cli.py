@@ -197,12 +197,45 @@ class TestExitCodes:
         code, out, _ = run(["conic", "--samples", "0.5,2,4"], capsys)
         assert (code, out) == (0, "y0 = 1/4*x0^2 - 1; points: (1/2,-15/16) (2,0) (4,3)\n")
 
+    def test_too_few_distinct_samples_is_1(self, capsys):
+        code, out, err = run(["conic", "--samples", "0,0,2"], capsys)
+        assert (code, out, err) == (1, "", "error: need at least 3 distinct sample abscissas\n")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code, out, err = run(["eval", "(" * 1000 + "x" + ")" * 1000, "--at", "x=1"], capsys)
+        assert (code, out, err) == (1, "", "error: expression nested too deeply (at position 100)\n")
+
     @pytest.mark.parametrize("argv", [["zoom", "1 + eps"], ["conic"]])
     def test_failed_svg_write_is_1(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "x.svg"
         code, out, err = run(argv + ["--svg", str(target)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
+class TestLongInputs:
+    """Trees far deeper than Python's recursion limit still evaluate."""
+
+    SUM = "+".join(["x"] * 2000)
+
+    def test_eval_long_sum(self, capsys):
+        assert run(["eval", self.SUM, "--at", "x=1+eps"], capsys) == (0, "2000 + 2000*eps\n", "")
+
+    def test_eval_long_negation_chain(self, capsys):
+        assert run(["eval", "0+" + "-" * 1000 + "x", "--at", "x=3"], capsys) == (0, "3\n", "")
+
+    def test_diff_long_sum(self, capsys):
+        assert run(["diff", self.SUM, "--at", "2"], capsys) == (0, "2000\npre_shadow = 2000\n", "")
+
+    def test_seq_long_sum(self, capsys):
+        code, out, err = run(["seq", "+".join(["1/n"] * 2000)], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "sequence: (2000*n^1999)/(n^2000)\n"
+            "standard part: 0\n"
+            "residue sign: positive\n"
+            "embedding: 2000*eps\n"
+        )
 
 
 class TestDepthEnvironment:

@@ -86,7 +86,18 @@ EXPR_PARSE_ERRORS = [
     ("f(x)", "unknown function 'f'", 0),
     ("1 + *", "unexpected token '*'", 4),
     ("(1))", "trailing input ')'", 3),
+    ("(" * 101 + "x" + ")" * 101, "expression nested too deeply", 100),
+    ("(" * 1000 + "x" + ")" * 1000, "expression nested too deeply", 100),
+    ("sqrt(" * 101 + "x" + ")" * 101, "expression nested too deeply", 500),
+    ("x*(" + "sqrt((" * 50 + "x" + "))" * 50 + ")", "expression nested too deeply", 302),
 ]
+
+
+def test_nesting_up_to_the_limit_parses():
+    tree = parse("(" * 50 + "sqrt(" * 50 + "x" + ")" * 100)
+    for _ in range(50):
+        tree = tree.operand
+    assert tree == Var("x")
 
 
 @pytest.mark.parametrize("src, message, pos", EXPR_PARSE_ERRORS)

@@ -55,6 +55,27 @@ class TestAdd:
         assert isinstance(info.value, LCError) and isinstance(info.value, TypeError)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LCNumber([(0, 0.5)]), "expected int or Fraction, got float"),
+        (lambda: LCNumber([(0.5, 1)]), "expected int or Fraction, got float"),
+        (lambda: LCNumber([], trunc=0.5), "expected int or Fraction, got float"),
+        (lambda: LCNumber.from_rational(0.1), "expected int or Fraction, got float"),
+        (lambda: LCNumber.monomial(1, 0.5), "expected int or Fraction, got float"),
+        (lambda: LCNumber.monomial("1", 1), "expected int or Fraction, got str"),
+        (lambda: EPS.pow_rational(0.5), "expected int or Fraction, got float"),
+        (lambda: EPS.pow_int(F(2)), "expected int, got Fraction"),
+        (lambda: EPS.nth_root(2.0), "expected int, got float"),
+    ],
+)
+def test_kernel_takes_only_exact_rationals(call, message):
+    with pytest.raises(CoercionError) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value, LCError) and isinstance(info.value, TypeError)
+
+
 class TestMul:
     def test_increment_expansion(self):
         # (x+dx)(y+dy) - xy at x=2, y=3, dx=dy=eps.

@@ -16,7 +16,6 @@ from lcfield.number import EPS, LCNumber
 from lcfield.sequences import (
     DecimalTruncation,
     Decomposition,
-    Poly,
     RationalFunctionOfN,
     asymptotic_embed,
     decompose,
@@ -33,10 +32,15 @@ def seq(src):
     return parse_sequence(src)
 
 
+def poly(coeffs):
+    """The polynomial in n with ascending coefficients, as an LCNumber in eps = 1/n."""
+    return LCNumber([(-i, c) for i, c in enumerate(coeffs)])
+
+
 def random_ratfunc_seq(rng):
-    p = Poly.make([F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
+    p = poly([F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
     while True:
-        q = Poly.make([F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
+        q = poly([F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
         if not q.is_zero:
             return RationalFunctionOfN.make(p, q)
 
@@ -77,6 +81,28 @@ class TestParsing:
             seq("sqrt(n)")
 
     @pytest.mark.parametrize(
+        "src, message, pos",
+        [
+            ("1 + m", "sequences use the index variable 'n', not 'm'", 4),
+            ("  1 + m", "sequences use the index variable 'n', not 'm'", 6),
+            ("(n + 1)/(N*n)", "sequences use the index variable 'n', not 'N'", 9),
+            ("1/sqrt(n)", "sqrt is not available in sequence literals", 2),
+            ("n^(1/2)", "sequence powers must be integers", 2),
+            ("n^2 + n^1.5", "sequence powers must be integers", 8),
+            ("1/(n-n) + m", "sequences use the index variable 'n', not 'm'", 10),
+            ("m(n)", "unknown function 'm'", 0),
+            ("n +", "unexpected end of input", 3),
+            ("", "empty expression", 0),
+            ("const:phi", "unknown constant tag 'phi'", 6),
+        ],
+    )
+    def test_parse_error_message_and_position(self, src, message, pos):
+        with pytest.raises(ParseError) as info:
+            seq(src)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
+
+    @pytest.mark.parametrize(
         "src, message",
         [
             ("(n-n)^(-1)", "negative power of the zero sequence"),
@@ -91,7 +117,19 @@ class TestParsing:
 
     def test_zero_denominator_polynomial(self):
         with pytest.raises(ZeroDivisionLCError, match="zero denominator polynomial"):
-            RationalFunctionOfN.make(Poly.const(1), Poly.make([]))
+            RationalFunctionOfN.make(poly([1]), poly([]))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (LCNumber.monomial(1, F(-1, 2)), poly([1])),
+            (poly([1]), EPS),
+            (poly([1]), poly([1, 1]) + LCNumber([], trunc=-3)),
+        ],
+    )
+    def test_make_needs_exact_polynomials_in_n(self, p, q):
+        with pytest.raises(UnsupportedKindError, match="^p and q must be exact polynomials in n$"):
+            RationalFunctionOfN.make(p, q)
 
     @pytest.mark.parametrize("src, pos", [("const:pi:0", 9), ("const:pi:999", 9), ("const:e:51", 8)])
     def test_digit_count_out_of_range(self, src, pos):

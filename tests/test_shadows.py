@@ -15,6 +15,7 @@ from lcfield.number import EPS, LCNumber, ONE
 from lcfield.number import parse as parse_number
 from lcfield.shadows import (
     CONIC_LHS_SRC,
+    _fit_parabola,
     conic_chain_residuals,
     conic_point,
     conic_shadow,
@@ -76,6 +77,16 @@ class TestConicShadow:
         for H in UNLIMITEDS:
             state = conic_shadow(H, [0, 2, 4])
             assert state.shadow_coeffs == (F(1, 4), F(0), F(-1))
+
+    def test_fit_is_exact_through_any_three_abscissas(self):
+        A, B, C = F(2, 3), F(-1, 2), F(5)
+        points = [(x, A * x * x + B * x + C) for x in (F(3), F(-2), F(1, 7), F(0))]
+        assert _fit_parabola(points) == (A, B, C)
+
+    def test_points_off_one_parabola_raise(self):
+        points = [(F(0), F(0)), (F(1), F(1)), (F(2), F(4)), (F(3), F(10))]
+        with pytest.raises(ArithmeticError, match="^sample points do not lie on one parabola$"):
+            _fit_parabola(points)
 
     @given(rationals, rationals)
     @settings(max_examples=100)
