@@ -9,6 +9,7 @@ sequence construction of infinitesimals.
 """
 
 from .errors import (
+    CoercionError,
     LCError,
     NegativeRootError,
     NotAnNthPowerError,
@@ -17,6 +18,7 @@ from .errors import (
     NotUnlimitedError,
     DegenerateProgressionError,
     ParseError,
+    RootIndexError,
     UnboundVariableError,
     UndecidableError,
     UnlimitedError,
@@ -58,5 +60,7 @@ __all__ = [
     "UnsupportedKindError",
     "UnboundVariableError",
     "ParseError",
+    "CoercionError",
+    "RootIndexError",
     "__version__",
 ]

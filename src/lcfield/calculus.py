@@ -12,16 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DegenerateProgressionError,
     NotInfinitesimalError,
 )
 from .expr import Expr, eval_field, free_vars
-from .number import DEFAULT_DEPTH, EPS, LCNumber
-
-Rational = Union[int, Fraction]
+from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
 
 
 def _single_var(f: Expr) -> str:
@@ -29,6 +27,20 @@ def _single_var(f: Expr) -> str:
     if len(names) > 1:
         raise ValueError(f"expected a univariate expression, got variables {sorted(names)}")
     return next(iter(names)) if names else "x"
+
+
+def _progression(
+    f: Expr, start: Rational, step: LCNumber, depth: int, count: int
+) -> list[LCNumber]:
+    """Values of the univariate ``f`` at ``start + i*step`` for ``i < count``."""
+    var = _single_var(f)
+    x0 = LCNumber.from_rational(Fraction(start))
+    return [eval_field(f, {var: x0 + step * i}, depth) for i in range(count)]
+
+
+def _second_difference(values: list[LCNumber]) -> LCNumber:
+    v0, v1, v2 = values
+    return v2 - v1 * 2 + v0
 
 
 @dataclass(frozen=True)
@@ -54,24 +66,15 @@ def derivative(
     h = EPS if increment is None else increment
     if not h.terms or not h.is_infinitesimal():
         raise NotInfinitesimalError("increment must be a nonzero infinitesimal")
-    var = _single_var(f)
-    x0 = Fraction(x0)
-    at_x0 = eval_field(f, {var: LCNumber.from_rational(x0)}, depth)
-    shifted = eval_field(f, {var: LCNumber.from_rational(x0) + h}, depth)
+    at_x0, shifted = _progression(f, x0, h, depth, 2)
     pre_shadow = (shifted - at_x0) * h.inv(depth)
     return DiffResult(pre_shadow.st(), pre_shadow)
 
 
 def second_derivative(f: Expr, x0: Rational, depth: int = DEFAULT_DEPTH) -> Fraction:
     """Shadow of the second difference quotient on the grid x0, x0+eps, x0+2eps."""
-    var = _single_var(f)
-    x0 = Fraction(x0)
-    values = [
-        eval_field(f, {var: LCNumber.from_rational(x0) + EPS * i}, depth)
-        for i in range(3)
-    ]
-    quotient = (values[2] - values[1] * 2 + values[0]) * (EPS * EPS).inv(depth)
-    return quotient.st()
+    second = _second_difference(_progression(f, x0, EPS, depth, 3))
+    return (second * (EPS * EPS).inv(depth)).st()
 
 
 @dataclass(frozen=True)
@@ -160,10 +163,8 @@ def second_differential_check(
     a = Fraction(a)
     if a == 0:
         raise ValueError("parameter a must be nonzero")
-    t0 = Fraction(t0)
-    tvar = _single_var(g)
-    xs = [eval_field(g, {tvar: LCNumber.from_rational(t0) + EPS * i}, depth) for i in range(3)]
-    ddx = xs[2] - xs[1] * 2 + xs[0]
+    xs = _progression(g, t0, EPS, depth, 3)
+    ddx = _second_difference(xs)
     # The same test as second_derivative(g, t0, depth) == 0, on the values at hand.
     if (ddx * (EPS * EPS).inv(depth)).st() == 0:
         raise DegenerateProgressionError("progression has vanishing second differences")
@@ -173,11 +174,8 @@ def second_differential_check(
 
     dx = xs[1] - xs[0]
     dv = vs[1] - vs[0]
-    ddv = vs[2] - vs[1] * 2 + vs[0]
-    ddy = ys[2] - ys[1] * 2 + ys[0]
-    if not ddx.terms:
-        raise DegenerateProgressionError("ddx is zero up to truncation")
-
+    ddv = _second_difference(vs)
+    ddy = _second_difference(ys)
     inv_ddx = ddx.inv(depth)
     lhs = ddy * inv_ddx
     rhs = (xs[0] * ddv + dx * dv * 2) * inv_ddx * Fraction(1, a) + vs[0] * Fraction(1, a)

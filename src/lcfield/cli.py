@@ -74,27 +74,6 @@ def _parse_binding_list(text: str) -> dict[str, LCNumber]:
     return binding
 
 
-def _format_poly_in(coeffs, variable: str) -> str:
-    """Render A*var^2 + B*var + C with exact coefficients."""
-    A, B, C = coeffs
-    parts = []
-    for coeff, power in ((A, f"{variable}^2"), (B, variable), (C, "")):
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        if power and mag == 1:
-            body = power
-        elif power:
-            body = f"{mag}*{power}"
-        else:
-            body = str(mag)
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f"{'-' if coeff < 0 else '+'} {body}")
-    return " ".join(parts) if parts else "0"
-
-
 def _write_svg(path: str, markup: str, result: dict) -> str:
     """Write markup to path, record the path in result, return the line reporting it."""
     with open(path, "w") as fh:
@@ -134,7 +113,7 @@ def _cmd_tlh(args, depth: int) -> tuple[dict, list[str]]:
 
 def _cmd_conic(args, depth: int) -> tuple[dict, list[str]]:
     state = shadows.conic_shadow(shadows.default_unlimited(), args.samples, depth)
-    equation = f"y0 = {_format_poly_in(state.shadow_coeffs, 'x0')}"
+    equation = f"y0 = {sequences.poly_text(zip((2, 1, 0), state.shadow_coeffs), 'x0')}"
     points_text = " ".join(f"({x},{y})" for x, y in state.points)
     result = {
         "coefficients": {k: str(c) for k, c in zip("ABC", state.shadow_coeffs)},
@@ -245,7 +224,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     envelope = {"command": args.command, "depth": depth, "result": result}
-    print(json.dumps(envelope, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    text = json.dumps(envelope, indent=2, sort_keys=True) if args.json else "\n".join(lines)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at devnull, so that the
+        # flush at exit finds nothing to write to the closed pipe.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 

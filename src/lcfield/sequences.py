@@ -19,13 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import ParseError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
-from .number import DEFAULT_DEPTH, ONE, LCNumber
-
-Rational = Union[int, Fraction]
+from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational
 
 #: Leading decimal digits of the supported declared constants.
 CONSTANT_DIGITS = {
@@ -45,16 +43,20 @@ def _at(p: LCNumber, n: Rational) -> Fraction:
     return sum((c * Fraction(n) ** int(-e) for e, c in p.terms), Fraction(0))
 
 
-def _poly_text(p: LCNumber) -> str:
-    """The polynomial in ascending powers of n, e.g. ``1 - 2*n + n^3``."""
+def poly_text(pairs: Iterable[tuple[Rational, Rational]], variable: str) -> str:
+    """A polynomial from ``(power, coefficient)`` pairs in display order, e.g.
+    ``1 - 2*n + n^3``; zero coefficients are left out."""
     parts = []
-    for e, c in reversed(p.terms):
-        if e == 0:
-            parts.append(str(c))
+    for power, c in pairs:
+        if c == 0:
             continue
-        power = "n" if e == -1 else f"n^{-e}"
-        parts.append(f"{c}*{power}" if abs(c) != 1 else ("-" if c < 0 else "") + power)
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        name = variable if power == 1 else f"{variable}^{power}"
+        body = str(abs(c)) if power == 0 else name if abs(c) == 1 else f"{abs(c)}*{name}"
+        if parts:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +64,8 @@ def _poly_text(p: LCNumber) -> str:
 # ---------------------------------------------------------------------------
 
 
-class RationalSequence:
-    """Common base for the supported sequence kinds."""
-
-    def term(self, n: int) -> Fraction:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class RationalFunctionOfN(RationalSequence):
+class RationalFunctionOfN:
     """The sequence n |-> p(n)/q(n).
 
     ``p`` and ``q`` are exact polynomials in n, held as LCNumbers in
@@ -79,7 +74,6 @@ class RationalFunctionOfN(RationalSequence):
 
     p: LCNumber
     q: LCNumber
-    offset: int = 1  # first index where q is guaranteed nonzero
 
     @classmethod
     def make(cls, p: LCNumber, q: LCNumber) -> "RationalFunctionOfN":
@@ -88,30 +82,26 @@ class RationalFunctionOfN(RationalSequence):
         exact = p.trunc is None and q.trunc is None
         if not exact or any(e > 0 or e.denominator != 1 for e, _ in p.terms + q.terms):
             raise UnsupportedKindError("p and q must be exact polynomials in n")
-        # Integer roots of q lie within the Cauchy bound; the offset is the
-        # smallest index past every root.
-        bound = max(1, int(1 + max(abs(c / q.leading_coefficient) for _, c in q.terms)))
-        offset = 1
-        for n in range(1, bound + 1):
-            if _at(q, n) == 0:
-                offset = n + 1
-        return cls(p, q, offset)
+        return cls(p, q)
 
     @classmethod
     def constant(cls, c: Rational) -> "RationalFunctionOfN":
         return cls.make(LCNumber.from_rational(c), ONE)
 
     def term(self, n: int) -> Fraction:
-        if n < self.offset:
-            raise IndexError(f"sequence defined from index {self.offset}")
-        return _at(self.p, n) / _at(self.q, n)
+        """p(n)/q(n); IndexError for n < 1 and where q(n) = 0."""
+        q = _at(self.q, n)
+        if n < 1 or q == 0:
+            raise IndexError(f"sequence undefined at index {n}")
+        return _at(self.p, n) / q
 
     def __str__(self) -> str:
-        return f"({_poly_text(self.p)})/({_poly_text(self.q)})"
+        p, q = (poly_text([(-e, c) for e, c in reversed(x.terms)], "n") for x in (self.p, self.q))
+        return f"({p})/({q})"
 
 
 @dataclass(frozen=True)
-class DecimalTruncation(RationalSequence):
+class DecimalTruncation:
     """Truncations of a declared constant: a_n = first n decimal digits."""
 
     tag: str
@@ -142,6 +132,9 @@ class DecimalTruncation(RationalSequence):
         return f"const:{self.constant_label}:{self.known_digits}"
 
 
+RationalSequence = Union[RationalFunctionOfN, DecimalTruncation]
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Constant part plus the eventual sign of the residue null sequence."""
@@ -162,7 +155,7 @@ def seq_add(a: RationalSequence, b: RationalSequence) -> RationalSequence:
         a, b = b, a
     if isinstance(a, DecimalTruncation) and isinstance(b, RationalFunctionOfN):
         if b.p.leading_exponent >= 0 and b.q.leading_exponent >= 0:  # both constants
-            c = b.term(b.offset)
+            c = b.term(1)
             return DecimalTruncation(a.tag, a.known_digits, a.shift + c)
         raise UnsupportedKindError(
             "decimal streams close under addition with rationals only"

@@ -10,23 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .calculus import derivative
 from .errors import NotUnlimitedError, UndecidableError
 from .expr import Expr, eval_field, eval_rational, parse
-from .number import DEFAULT_DEPTH, EPS, LCNumber
-
-Rational = Union[int, Fraction]
+from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
 
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
 CONIC_LHS_SRC = "(y + 2 + 2/H)^2 - (x^2 + y^2)*(1 + 4/H + 4/H^2)"
 #: Its syntax tree, parsed once.
 CONIC_LHS = parse(CONIC_LHS_SRC)
-
-#: The original two-radical form: sum of focal distances equals H + 2.
-CONIC_RADICAL_SRC = "sqrt(x^2 + y^2) + sqrt(x^2 + (y - H)^2) - (H + 2)"
 
 
 def default_unlimited() -> LCNumber:
@@ -59,9 +54,7 @@ def line_LH_shadow(
         H = default_unlimited()
     _require_unlimited(H)
     x = Fraction(x)
-    y = eval_field(
-        parse("1 - x/H"), {"x": LCNumber.from_rational(x), "H": H}, depth
-    )
+    y = eval_field(parse("1 - x/H"), {"x": x, "H": H}, depth)
     point = (x, y.st())
     assert point[1] == 1
     return point
@@ -99,15 +92,7 @@ def status_transitus_residual(
     (x, y) lies on the shadow parabola.
     """
     _require_unlimited(H)
-    return eval_field(
-        CONIC_LHS,
-        {
-            "x": LCNumber.from_rational(Fraction(x)),
-            "y": LCNumber.from_rational(Fraction(y)),
-            "H": H,
-        },
-        depth,
-    )
+    return eval_field(CONIC_LHS, {"x": Fraction(x), "y": Fraction(y), "H": H}, depth)
 
 
 def _shadow_y(H: LCNumber, x0: Fraction, depth: int) -> Fraction:

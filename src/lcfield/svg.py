@@ -120,7 +120,7 @@ def zoom_svg(value: LCNumber) -> str:
     if residual.terms:
         q, c = residual.terms[0]
         label = str(residual)
-        pos = max(-2.0, min(2.0, float(c)))
+        pos = float(max(-2, min(2, c)))
     else:
         label = "0"
         pos = 0.0

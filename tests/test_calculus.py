@@ -22,7 +22,12 @@ from lcfield.calculus import (
     second_derivative,
     second_differential_check,
 )
-from lcfield.errors import DegenerateProgressionError, LCError, NotInfinitesimalError
+from lcfield.errors import (
+    DegenerateProgressionError,
+    LCError,
+    NotInfinitesimalError,
+    UndecidableError,
+)
 from lcfield.expr import Add, Lit, Mul, eval_rational, parse
 from lcfield.number import EPS, LCNumber, ZERO
 
@@ -220,3 +225,14 @@ class TestSecondDifferentialCheck:
             assert report.shadow_residual == 0
             assert sympy_second_differential_residual(v_src, a, g_src, t0) == 0
             done += 1
+
+
+class TestSecondDifferentialCheckErrors:
+    def test_zero_parameter_is_rejected(self):
+        with pytest.raises(ValueError, match="parameter a must be nonzero"):
+            second_differential_check(parse("x^2"), 0, parse("t^2"), 1)
+
+    def test_second_difference_hidden_by_truncation_is_undecidable(self):
+        # At depth 1 the second difference of sqrt(1+t) is a term-less O(eps^2).
+        with pytest.raises(UndecidableError):
+            second_differential_check(parse("x"), 1, parse("sqrt(1+t)"), 0, depth=1)

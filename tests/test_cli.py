@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -409,3 +410,82 @@ def test_entry_point_runs():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2\npre_shadow = 2 + eps\n"
+
+
+class TestMoreExitCodes:
+    def test_binding_without_equals_is_1(self, capsys):
+        code, out, err = run(["eval", "x", "--at", "x"], capsys)
+        assert (code, out, err) == (1, "", "error: binding 'x' is not of the form name=value\n")
+
+    def test_diff_of_two_variables_is_1(self, capsys):
+        code, out, err = run(["diff", "x*y", "--at", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: expected a univariate expression, got variables ['x', 'y']\n"
+
+
+class TestZoomPanes:
+    @staticmethod
+    def circles(out):
+        return re.findall(r'<circle cx="([^"]+)"', out)
+
+    def test_standard_value_has_label_zero(self, capsys):
+        code, out, _ = run(["zoom", "3"], capsys)
+        assert code == 0
+        assert self.circles(out) == ["170.00", "470.00"]
+        assert (
+            '<text x="470.00" y="268.00" text-anchor="middle" font-size="14" '
+            'font-family="monospace">0</text>'
+        ) in out
+
+    def test_huge_coefficient_is_clamped_to_the_pane(self, capsys):
+        huge = run(["zoom", "2 + 1" + "0" * 400 + "*eps"], capsys)
+        two = run(["zoom", "2 + 2*eps"], capsys)
+        assert (huge[0], huge[2], two[0]) == (0, "", 0)
+        assert self.circles(huge[1]) == self.circles(two[1]) == ["170.00", "580.00"]
+
+
+def _child_env(**overrides):
+    """Environment of an ``lc`` child that imports the ``lcfield`` this process imported."""
+    src = pathlib.Path(lcfield.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(overrides)
+    return env
+
+
+@pytest.mark.parametrize("overrides", [{}, {"PYTHONUNBUFFERED": "1"}])
+def test_closed_stdout_is_1_without_traceback(overrides):
+    # The read end is closed before the child starts, so its write (unbuffered)
+    # or its flush (buffered) fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcfield.cli", "zoom", "2 + eps"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(**overrides),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_seq_with_a_distant_root_is_quick():
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcfield.cli", "seq", "1/(n-1000000000)", "--depth", "3"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "sequence: (1)/(-1000000000 + n)\n"
+        "standard part: 0\n"
+        "residue sign: positive\n"
+        "embedding: eps + 1000000000*eps^(2) + 1000000000000000000*eps^(3) + O(eps^(4))\n"
+    )

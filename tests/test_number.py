@@ -363,3 +363,48 @@ class TestParseErrors:
             parse(src)
         assert str(exc.value) == f"{message} (at position {pos})"
         assert exc.value.pos == pos
+
+
+class TestDivisionAndWeakOrder:
+    def test_division_by_a_number(self):
+        assert (ONE + EPS) / EPS == num("eps^(-1) + 1")
+        assert (ONE + EPS) / 2 == num("1/2 + 1/2*eps")
+
+    def test_rational_divided_by_a_number(self):
+        assert 2 / EPS == num("2*eps^(-1)")
+        assert str(1 / (ONE + EPS)).endswith("+ eps^(14) - eps^(15) + O(eps^(16))")
+
+    def test_weak_order(self):
+        assert EPS <= EPS and ZERO <= EPS and EPS >= 0
+        assert not EPS >= 1 and not EPS <= 0
+
+
+class TestTermlessClassification:
+    def test_positive_order_is_infinitesimal(self):
+        assert LCNumber([], trunc=1).is_infinitesimal()
+
+    @pytest.mark.parametrize("trunc", [0, -1])
+    def test_nonpositive_order_is_undecidable(self, trunc):
+        with pytest.raises(UndecidableError, match="classification undecidable"):
+            LCNumber([], trunc=trunc).is_infinitesimal()
+
+    @pytest.mark.parametrize("trunc", [1, 0, -1])
+    def test_order_class_is_undecidable(self, trunc):
+        with pytest.raises(UndecidableError, match="order class undecidable"):
+            LCNumber([], trunc=trunc).order_class()
+
+
+def test_package_exports_every_error_class():
+    import inspect
+
+    import lcfield
+    import lcfield.errors as errors
+
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.LCError)
+    }
+    assert sorted(classes - set(lcfield.__all__)) == []
+    for name in classes:
+        assert getattr(lcfield, name) is getattr(errors, name)

@@ -260,3 +260,17 @@ class TestEmbed:
             ea, eb = asymptotic_embed(a), asymptotic_embed(b)
             assert ea > eb
             checked += 1
+
+
+class TestTermDomain:
+    def test_constant_shift_of_stream_either_order(self):
+        s = seq_add(seq("2"), seq("const:pi"))
+        assert str(s) == "const:pi + 2:20"
+        assert s.term(2) == F(314, 100) + 2
+
+    def test_undefined_exactly_below_one_and_at_roots_of_q(self):
+        s = seq("1/((n-1)*(n-3))")
+        for n in (-1, 0, 1, 3):
+            with pytest.raises(IndexError):
+                s.term(n)
+        assert [s.term(n) for n in (2, 4, 5)] == [F(-1), F(1, 3), F(1, 8)]
