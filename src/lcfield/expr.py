@@ -438,18 +438,12 @@ def _random_nonzero_rational(rng: random.Random) -> Fraction:
 def random_field_value(rng: random.Random) -> LCNumber:
     """A random binding value: standard, infinitesimal, unlimited, or mixed."""
     kind = rng.randrange(5)
-    std = LCNumber.from_rational(_random_rational(rng))
-    small = LCNumber.monomial(_random_nonzero_rational(rng), rng.randint(1, 3))
-    big = LCNumber.monomial(_random_nonzero_rational(rng), -rng.randint(1, 3))
-    if kind == 0:
-        return std
-    if kind == 1:
-        return small
-    if kind == 2:
-        return big
-    if kind == 3:
-        return std + small
-    return big + std + small
+    terms = [(0, _random_rational(rng))]
+    for sign in (1, -1):  # a coefficient, then its exponent: c*eps^(k), then c*eps^(-k)
+        c = _random_nonzero_rational(rng)
+        terms.append((sign * rng.randint(1, 3), c))
+    std, small, big = terms
+    return LCNumber(([std], [small], [big], [std, small], [big, std, small])[kind])
 
 
 def transfer_check(

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -123,18 +124,20 @@ def _binomial_series(rel: list, alpha: Fraction, n: int) -> list:
     ``rel`` lists the nonzero (j, a_j), j >= 1 ascending.  J.C.P. Miller's
     recurrence (Knuth, TAOCP Vol. 2, 4.7) costs O(n * len(rel)):
     g_0 = 1, g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j).
+    Each sum runs on integers over the lcm L of its terms' denominators, so
+    g_k = s / (q*k*L) for alpha = p/q and an integer s: one ``Fraction`` per g_k.
     """
     p, q = alpha.numerator, alpha.denominator
+    rel = [(j, a.numerator, a.denominator) for j, a in rel]
     g = [Fraction(1)]
     for k in range(1, n):
+        used = [(j, a, b, g[k - j]) for j, a, b in rel[: bisect_left(rel, (k + 1,))]]
+        L = lcm(*[b * c.denominator for _, _, b, c in used])
         # (alpha + 1) * j - k == ((p + q) * j - q * k) / q
-        s = Fraction(0)
-        for j, a in rel:
-            if j > k:
-                break
-            s += ((p + q) * j - q * k) * a * g[k - j]
-        g.append(s / (q * k))
-    return g
+        s = sum(((p + q) * j - q * k) * a * c.numerator * (L // (b * c.denominator))
+                for j, a, b, c in used)
+        g.append(Fraction(s, q * k * L))
+    return g[:n]  # nothing for n < 1
 
 
 def _exact(x, kinds: tuple = (int, Fraction)):
@@ -164,13 +167,21 @@ class LCNumber:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, terms: tuple, trunc: Optional[Fraction]) -> "LCNumber":
+        """Trusted: ``terms`` are ascending, nonzero ``Fraction`` pairs below ``trunc``."""
+        # Kernel tuples are built from lists: one built from a generator is resized after
+        # allocation, which fills CPython's per-size tuple free lists (~3 MB more peak RSS).
+        x = object.__new__(cls)
+        x.terms = terms
+        x.trunc = trunc
+        return x
+
+    @classmethod
     def _canon(cls, pairs, trunc: Optional[Fraction]) -> "LCNumber":
         """Trusted: the caller passes distinct ``Fraction`` exponents, ``Fraction`` coefficients
         and a ``Fraction`` or ``None`` trunc; drops zeros and terms at or above trunc, sorts."""
-        x = object.__new__(cls)
-        x.terms = tuple(sorted((q, c) for q, c in pairs if c and (trunc is None or q < trunc)))
-        x.trunc = trunc
-        return x
+        kept = ((q, c) for q, c in pairs if c and (trunc is None or q < trunc))
+        return cls._make(tuple(sorted(kept)), trunc)
 
     @classmethod
     def from_rational(cls, r: Rational) -> "LCNumber":
@@ -219,15 +230,30 @@ class LCNumber:
 
     def __add__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)
-        acc = dict(self.terms)
-        for q, c in b.terms:
-            acc[q] = acc[q] + c if q in acc else c
-        return LCNumber._canon(acc.items(), _min_trunc(self.trunc, b.trunc))
+        trunc = _min_trunc(self.trunc, b.trunc)
+        x, y = self.terms, b.terms
+        if trunc is not None:
+            x, y = x[: bisect_left(x, (trunc,))], y[: bisect_left(y, (trunc,))]
+        # One merge of the two ascending term tuples.
+        out, i, j = [], 0, 0
+        while i < len(x) and j < len(y):
+            (qa, ca), (qb, cb) = x[i], y[j]
+            if qa == qb:
+                if ca + cb:
+                    out.append((qa, ca + cb))
+                i, j = i + 1, j + 1
+            elif qa < qb:
+                out.append(x[i])
+                i += 1
+            else:
+                out.append(y[j])
+                j += 1
+        return LCNumber._make(tuple(out) + x[i:] + y[j:], trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LCNumber":
-        return LCNumber._canon([(q, -c) for q, c in self.terms], self.trunc)
+        return LCNumber._make(tuple([(q, -c) for q, c in self.terms]), self.trunc)
 
     def __sub__(self, other: Scalar) -> "LCNumber":
         return self + (-self._coerce(other))
@@ -248,13 +274,31 @@ class LCNumber:
             bound = self.trunc + lo_b
         if b.trunc is not None:
             bound = _min_trunc(bound, b.trunc + lo_a)
+        # On integers: exponent q is q*D, D the lcm of all exponent denominators.  A sum's
+        # denominator is the lcm of its own products' ones, not an operand-wide lcm.
+        x, y = self.terms, b.terms
+        D = lcm(*[q.denominator for q, _ in x + y])
+        xs = [(q.numerator * (D // q.denominator), c.numerator, c.denominator) for q, c in x]
+        ys = [(q.numerator * (D // q.denominator), c.numerator, c.denominator) for q, c in y]
+        # For an integer k, k < bound*D iff k < ceil(bound*D); with no bound, both have terms.
+        top = xs[-1][0] + ys[-1][0] + 1 if bound is None else ceil(bound * D)
         prod: dict = {}
-        for qa, ca in self.terms:
-            for qb, cb in b.terms:
-                q = qa + qb
-                if bound is None or q < bound:
-                    prod[q] = prod.get(q, 0) + ca * cb
-        return LCNumber._canon(prod.items(), bound)
+        for e, na, da in xs:
+            for f, nb, db in ys:
+                k = e + f
+                if k >= top:
+                    break
+                n, d = na * nb, da * db
+                if k in prod:
+                    s, t = prod[k]
+                    if t == d:
+                        n += s
+                    else:
+                        m = lcm(t, d)
+                        n, d = s * (m // t) + n * (m // d), m
+                prod[k] = n, d
+        terms = [(Fraction(k, D), Fraction(n, d)) for k, (n, d) in sorted(prod.items()) if n]
+        return LCNumber._make(tuple(terms), bound)
 
     __rmul__ = __mul__
 
@@ -325,7 +369,9 @@ class LCNumber:
         # u = sum a_j * eps^(j*step); the terms at or above the bound never matter.
         rel = [(int((e - lam) / step), c / c0) for e, c in self.terms[1:] if e - lam < bound]
         g = _binomial_series(rel, alpha, ceil(bound / step))
-        return LCNumber._canon([(mu + k * step, r0 * c) for k, c in enumerate(g)], mu + bound)
+        (m, dm), (s, ds) = mu.as_integer_ratio(), step.as_integer_ratio()  # mu + k*step
+        terms = [(Fraction(m * ds + k * s * dm, dm * ds), r0 * c) for k, c in enumerate(g) if c]
+        return LCNumber._make(tuple(terms), mu + bound)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)

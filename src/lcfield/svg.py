@@ -24,6 +24,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _float(v: Fraction, bound: int = 10**12) -> float:
+    """v clamped to [-bound, bound], then converted: an exact value can exceed float range."""
+    return float(max(-bound, min(bound, v)))
+
+
 def _map_x(x: float, lo: float, hi: float, left: float, right: float) -> float:
     return left + (x - lo) / (hi - lo) * (right - left)
 
@@ -38,7 +43,7 @@ def parabola_svg(
     points: Sequence[tuple[Fraction, Fraction]],
 ) -> str:
     """Shadow parabola y = A*x^2 + B*x + C with the sampled shadow points."""
-    A, B, C = (float(c) for c in coeffs)
+    A, B, C = (_float(c) for c in coeffs)
     xlo, xhi, ylo, yhi = -6.0, 6.0, -2.0, 10.0
     parts = [_HEADER]
     parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
@@ -68,8 +73,8 @@ def parabola_svg(
     )
     # Sample points.
     for x, y in points:
-        cx = _map_x(float(x), xlo, xhi, 40, WIDTH - 40)
-        cy = _map_y(float(y), ylo, yhi)
+        cx = _map_x(_float(x), xlo, xhi, 40, WIDTH - 40)
+        cy = _map_y(_float(y), ylo, yhi)
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="#d62728"/>'
         )
@@ -120,7 +125,7 @@ def zoom_svg(value: LCNumber) -> str:
     if residual.terms:
         q, c = residual.terms[0]
         label = str(residual)
-        pos = float(max(-2, min(2, c)))
+        pos = _float(c, 2)
     else:
         label = "0"
         pos = 0.0

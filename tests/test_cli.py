@@ -489,3 +489,15 @@ def test_seq_with_a_distant_root_is_quick():
         "residue sign: positive\n"
         "embedding: eps + 1000000000*eps^(2) + 1000000000000000000*eps^(3) + O(eps^(4))\n"
     )
+
+
+def test_conic_svg_with_a_huge_sample(capsys, tmp_path):
+    # Exact values beyond float range are clamped far outside the pane, then plotted.
+    target = tmp_path / "huge.svg"
+    huge = "1" + "0" * 400
+    code, out, err = run(["conic", "--samples", f"0,2,{huge}", "--svg", str(target)], capsys)
+    assert (code, err) == (0, "")
+    assert f"svg written to {target}" in out
+    markup = target.read_text()
+    assert markup.startswith("<svg") and markup.endswith("</svg>\n")
+    assert f"({huge}," in markup

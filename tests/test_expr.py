@@ -1,5 +1,6 @@
 """Parsing, rendering, evaluation coherence, and the transfer check."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -28,6 +29,7 @@ from lcfield.expr import (
     eval_rational,
     free_vars,
     parse,
+    random_field_value,
     render,
     transfer_check,
 )
@@ -236,3 +238,28 @@ class TestTransferCheck:
             rhs = sympy_poly_to_expr(expr_to_sympy(lhs), names)
             report = transfer_check(lhs, rhs, trials=10, seed=rng.randrange(10**6))
             assert report.ok, report.first_counterexample
+
+
+# random_field_value draws, seeds 0..23, pinned from its draw-three-numbers form.
+FIELD_VALUES = [
+    "4 - 1/9*eps^(2)", "-1/2*eps^(2)", "-7/2", "-5/6*eps^(3)", "3/8*eps",
+    "-2*eps^(-1) - 1/6 + 7*eps^(2)", "-5/8*eps^(-3) - 7/8 - eps", "-eps^(-3)", "-5/4*eps^(3)",
+    "2/5 - 5/3*eps^(3)", "5/8*eps^(-2) - 8/7 + 6*eps", "1 + 5/9*eps^(3)", "-1/9 + 2/3*eps^(2)",
+    "-4/3*eps^(-1)", "7/4", "-8/3*eps", "4/5*eps^(-1)", "8/5*eps^(-1) + 4/5 + 2/5*eps",
+    "1/4*eps", "7/2", "1/3*eps", "-3/8*eps^(3)", "5/3*eps^(3)", "1/3*eps^(-2)",
+]
+FIELD_VALUES_SHA256 = "3b1798c6575a430bb2f894adb84080072092778d413483832cf3ff58b52ae25f"
+GETRANDBITS_AFTER_50 = 12103918426339411695
+
+
+def test_random_field_values_are_pinned():
+    assert [str(random_field_value(random.Random(s))) for s in range(24)] == FIELD_VALUES
+    drawn = "\n".join(str(random_field_value(random.Random(s))) for s in range(2000))
+    assert hashlib.sha256(drawn.encode()).hexdigest() == FIELD_VALUES_SHA256
+
+
+def test_random_field_value_leaves_the_generator_where_it_was_left():
+    rng = random.Random(5)
+    for _ in range(50):
+        random_field_value(rng)
+    assert rng.getrandbits(64) == GETRANDBITS_AFTER_50

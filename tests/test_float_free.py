@@ -1,0 +1,44 @@
+"""Computation never touches a float: no module of lcfield but the SVG plotter
+names ``float``, writes a float literal or calls a float-valued ``math`` function."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lcfield"
+FLOAT_MATH = {"log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "sqrt", "cbrt", "pow",
+              "fsum", "hypot", "dist", "ldexp", "frexp", "fabs", "fmod"}
+
+
+def float_uses(tree):
+    """(line, what) for every float name, literal or float-valued math function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "float"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, repr(node.value)
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            yield from ((node.lineno, f"math.{a.name}") for a in node.names if a.name in FLOAT_MATH)
+
+
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "svg.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_is_float_free(path):
+    assert list(float_uses(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_guard_sees_each_kind_of_float_use():
+    src = "import math\nfrom math import log2, gcd\nx = float(3) + 0.5 + math.sqrt(2)\n"
+    assert sorted(float_uses(ast.parse(src))) == [
+        (2, "math.log2"), (3, "0.5"), (3, "float"), (3, "math.sqrt")]
+
+
+def test_every_module_but_svg_is_checked():
+    assert {p.name for p in MODULES} | {"svg.py"} == {p.name for p in SRC.glob("*.py")}
+    assert len(MODULES) >= 8

@@ -4,7 +4,8 @@ Random operands mix two exponent lattices and may carry an O() tail or no
 terms at all.  Results are checked three ways: against the repeated-power
 routines the kernel replaced (kept below as the reference), against sympy's
 ring_series, and by refinement (doubling the depth never changes what a lower
-depth reported).
+depth reported).  The integer inner loops of `*`, `+` and the Miller recurrence
+are checked against the Fraction loops they replaced, also kept below.
 """
 
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ from sympy.polys.rings import ring
 
 from lcfield.errors import LCError, UndecidableError, ZeroDivisionLCError
 from lcfield.expr import Pow, Var, eval_field
-from lcfield.number import LCNumber, rational_nth_root
+from lcfield.number import LCNumber, _frac_gcd, _min_trunc, rational_nth_root
 
 # ---------------------------------------------------------------------------
 # Reference: sum_k c_k * u^k with every power u^k built by a dict product
@@ -237,3 +238,146 @@ def test_doubling_the_depth_refines(x, alpha, depth):
             continue
         assert hi.trunc is not None and hi.trunc >= lo.trunc, name
         assert tuple(t for t in hi.terms if t[0] < lo.trunc) == lo.terms, name
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-loop `*`, `+` and Miller recurrence that the
+# integer inner loops replaced
+# ---------------------------------------------------------------------------
+
+
+def fraction_add(a, b):
+    acc = dict(a.terms)
+    for q, c in b.terms:
+        acc[q] = acc[q] + c if q in acc else c
+    return LCNumber(acc.items(), _min_trunc(a.trunc, b.trunc))
+
+
+def fraction_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return LCNumber()
+    lo_a = a.terms[0][0] if a.terms else a.trunc
+    lo_b = b.terms[0][0] if b.terms else b.trunc
+    bound = None
+    if a.trunc is not None:
+        bound = a.trunc + lo_b
+    if b.trunc is not None:
+        bound = _min_trunc(bound, b.trunc + lo_a)
+    prod = {}
+    for qa, ca in a.terms:
+        for qb, cb in b.terms:
+            q = qa + qb
+            if bound is None or q < bound:
+                prod[q] = prod.get(q, 0) + ca * cb
+    return LCNumber(prod.items(), bound)
+
+
+def fraction_binomial_series(rel, alpha, n):
+    p, q = alpha.numerator, alpha.denominator
+    g = [F(1)]
+    for k in range(1, n):
+        s = F(0)
+        for j, a in rel:
+            if j > k:
+                break
+            s += ((p + q) * j - q * k) * a * g[k - j]
+        g.append(s / (q * k))
+    return g
+
+
+def fraction_pow_rational(x, alpha, depth):
+    alpha = F(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    if not x.terms:
+        if x.trunc is None:
+            if p < 0:
+                raise ZeroDivisionLCError("inverse of zero")
+            return LCNumber()
+        what = "inverse" if p < 0 else "root"
+        raise UndecidableError(
+            f"operand is zero up to O(eps^({abs(p) * x.trunc})); {what} undecidable"
+        )
+    lam, c0 = x.terms[0]
+    r0 = c0**p if q == 1 else rational_nth_root(c0**p, q)
+    mu = lam * alpha
+    rel_known = None if x.trunc is None else x.trunc - lam
+    if len(x.terms) == 1:
+        return LCNumber([(mu, r0)], None if rel_known is None else mu + rel_known)
+    step = x.terms[1][0] - lam
+    for e, _ in x.terms[2:]:
+        step = _frac_gcd(step, e - lam)
+    bound = _min_trunc(depth * step, rel_known)
+    rel = [(int((e - lam) / step), c / c0) for e, c in x.terms[1:] if e - lam < bound]
+    g = fraction_binomial_series(rel, alpha, ceil(bound / step))
+    return LCNumber([(mu + k * step, r0 * c) for k, c in enumerate(g)], mu + bound)
+
+
+def fraction_pow_int(x, k, depth):
+    if k < 0:
+        return fraction_pow_rational(x, k, depth)
+    result, base = None, x
+    while k:
+        if k & 1:
+            result = base if result is None else fraction_mul(result, base)
+        base = fraction_mul(base, base) if k > 1 else base
+        k >>= 1
+    return LCNumber.from_rational(1) if result is None else result
+
+
+# Exact n-th powers, so that roots of a leading coefficient often exist.
+_powers = [F(1), F(-1), F(4), F(9, 4), F(8), F(-27, 8), F(1, 64), F(729, 1000000)]
+
+
+@st.composite
+def wide_operands(draw):
+    """Up to six terms on the lattices 1/a and 1/b (a, b in 1..11 or 1000),
+    negative exponents, coefficient denominators up to 10^6, maybe an O() tail;
+    term-less and exactly zero values included."""
+    lattices = [draw(st.sampled_from([*range(1, 12), 1000])) for _ in range(2)]
+    lead = F(draw(st.integers(-8, 8)), draw(st.sampled_from(lattices)))
+    terms = {}
+    for i in range(draw(st.integers(0, 6))):
+        offset = F(draw(st.integers(1, 12)), draw(st.sampled_from(lattices))) if i else 0
+        terms[lead + offset] = draw(st.one_of(
+            st.sampled_from(_powers),
+            st.builds(F, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6)),
+        ))
+    trunc = None
+    if draw(st.booleans()):
+        above = F(draw(st.integers(1 if terms else -8, 12)), draw(st.sampled_from(lattices)))
+        trunc = max(terms, default=lead) + above
+    return LCNumber(terms.items(), trunc)
+
+
+def _same(got, want):
+    """Equal term for term and in trunc, or the same error class and message."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(got, LCNumber):
+        assert got.terms == want.terms and got.trunc == want.trunc, (str(got), str(want))
+        assert all(type(v) is F for t in got.terms for v in t), got.terms
+    else:
+        assert got == want
+
+
+@given(wide_operands(), wide_operands(), st.integers(1, 64),
+       st.sampled_from([F(p, q) for p in (-5, -3, -2, -1, 1, 2, 3, 5) for q in (1, 2, 3, 4)]),
+       st.integers(-4, 4), st.sampled_from([2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_integer_loops_match_the_fraction_loops(x, y, depth, alpha, k, n):
+    pairs = [
+        ("*", lambda: x * y, lambda: fraction_mul(x, y)),
+        ("+", lambda: x + y, lambda: fraction_add(x, y)),
+        ("-", lambda: x - y,
+         lambda: fraction_add(x, LCNumber([(q, -c) for q, c in y.terms], y.trunc))),
+        ("inv", lambda: x.inv(depth), lambda: fraction_pow_rational(x, -1, depth)),
+        ("nth_root", lambda: x.nth_root(n, depth), lambda: fraction_pow_rational(x, F(1, n), depth)),
+        ("pow_rational", lambda: x.pow_rational(alpha, depth),
+         lambda: fraction_pow_rational(x, alpha, depth)),
+        ("pow_int", lambda: x.pow_int(k, depth), lambda: fraction_pow_int(x, k, depth)),
+    ]
+    for name, new, ref in pairs:
+        got, want = outcome(new), outcome(ref)
+        try:
+            _same(got, want)
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from None
