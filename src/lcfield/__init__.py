@@ -17,10 +17,13 @@ from .errors import (
     NotInfinitesimalError,
     NotUnlimitedError,
     DegenerateProgressionError,
+    InconsistentRelationError,
+    InvalidArgumentError,
     ParseError,
     RootIndexError,
     UnboundVariableError,
     UndecidableError,
+    UndefinedTermError,
     UnlimitedError,
     UnsupportedKindError,
     ZeroDivisionLCError,
@@ -62,5 +65,8 @@ __all__ = [
     "ParseError",
     "CoercionError",
     "RootIndexError",
+    "InvalidArgumentError",
+    "UndefinedTermError",
+    "InconsistentRelationError",
     "__version__",
 ]

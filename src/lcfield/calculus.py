@@ -14,10 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    DegenerateProgressionError,
-    NotInfinitesimalError,
-)
+from .errors import DegenerateProgressionError, InvalidArgumentError, NotInfinitesimalError
 from .expr import Expr, eval_field, free_vars
 from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
 
@@ -25,7 +22,9 @@ from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
 def _single_var(f: Expr) -> str:
     names = free_vars(f)
     if len(names) > 1:
-        raise ValueError(f"expected a univariate expression, got variables {sorted(names)}")
+        raise InvalidArgumentError(
+            f"expected a univariate expression, got variables {sorted(names)}"
+        )
     return next(iter(names)) if names else "x"
 
 
@@ -162,7 +161,7 @@ def second_differential_check(
     """
     a = Fraction(a)
     if a == 0:
-        raise ValueError("parameter a must be nonzero")
+        raise InvalidArgumentError("parameter a must be nonzero")
     xs = _progression(g, t0, EPS, depth, 3)
     ddx = _second_difference(xs)
     # The same test as second_derivative(g, t0, depth) == 0, on the values at hand.

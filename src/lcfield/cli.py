@@ -13,13 +13,13 @@ codes: 0 success, 1 evaluation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import calculus, sequences, shadows, svg
 from .errors import LCError
 from .expr import eval_field, parse as parse_expr
 from .number import DEFAULT_DEPTH, LCNumber
@@ -91,6 +91,7 @@ def _cmd_eval(args, depth: int) -> tuple[dict, list[str]]:
 
 
 def _cmd_diff(args, depth: int) -> tuple[dict, list[str]]:
+    from . import calculus
     expr = parse_expr(args.expression)
     result = calculus.derivative(expr, args.at, depth)
     return (
@@ -112,6 +113,7 @@ def _cmd_tlh(args, depth: int) -> tuple[dict, list[str]]:
 
 
 def _cmd_conic(args, depth: int) -> tuple[dict, list[str]]:
+    from . import sequences, shadows, svg
     state = shadows.conic_shadow(shadows.default_unlimited(), args.samples, depth)
     equation = f"y0 = {sequences.poly_text(zip((2, 1, 0), state.shadow_coeffs), 'x0')}"
     points_text = " ".join(f"({x},{y})" for x, y in state.points)
@@ -131,6 +133,7 @@ _SIGN_NAMES = {-1: "negative", 0: "zero", 1: "positive"}
 
 
 def _cmd_seq(args, depth: int) -> tuple[dict, list[str]]:
+    from . import sequences
     seq = sequences.parse_sequence(args.sequence)
     decomposition = sequences.decompose(seq)
     result = {
@@ -154,6 +157,7 @@ def _cmd_seq(args, depth: int) -> tuple[dict, list[str]]:
 
 
 def _cmd_zoom(args, depth: int) -> tuple[dict, list[str]]:
+    from . import svg
     value = parse_number(args.number)
     markup = svg.zoom_svg(value)
     result = {"input": str(value), "standard_part": str(value.st())}
@@ -162,7 +166,13 @@ def _cmd_zoom(args, depth: int) -> tuple[dict, list[str]]:
     return result, [markup.rstrip("\n")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one ``lc`` parser, built on first use; callers must not add to it.
+
+    Reuse is safe: parsing leaves the parser unchanged, ``prog`` is fixed, string
+    defaults are converted on every parse, and help reads ``COLUMNS`` when printed.
+    """
     parser = argparse.ArgumentParser(
         prog="lc",
         description="Exact arithmetic with infinitesimals: evaluate, "

@@ -33,6 +33,18 @@ class CoercionError(LCError, TypeError):
     """An operand is neither an int, a Fraction nor an LCNumber."""
 
 
+class InvalidArgumentError(LCError, ValueError):
+    """An argument is outside what the operation accepts."""
+
+
+class UndefinedTermError(LCError, IndexError):
+    """A sequence term was requested at an index where it is undefined."""
+
+
+class InconsistentRelationError(LCError, ArithmeticError):
+    """An exact relation that a shadow construction relies on does not hold."""
+
+
 class UnlimitedError(LCError):
     """A standard part was requested for a number with a negative-exponent term."""
 

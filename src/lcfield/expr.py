@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import (
+    CoercionError,
     NotAnNthPowerError,
     NotAPerfectSquareError,
     ParseError,
@@ -125,7 +126,7 @@ def fold(e: Expr, ring: Mapping[type, Callable]):
     while stack:
         node = stack.pop()
         if type(node) not in _SHAPES:
-            raise TypeError(f"not an expression node: {node!r}")
+            raise CoercionError(f"not an expression node: {node!r}")
         preorder.append(node)
         for name in _SHAPES[type(node)][0]:
             stack.append(getattr(node, name))

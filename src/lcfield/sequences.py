@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParseError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
+from .errors import (
+    ParseError, UndefinedTermError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
+)
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
 from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational
 
@@ -89,10 +91,10 @@ class RationalFunctionOfN:
         return cls.make(LCNumber.from_rational(c), ONE)
 
     def term(self, n: int) -> Fraction:
-        """p(n)/q(n); IndexError for n < 1 and where q(n) = 0."""
+        """p(n)/q(n); UndefinedTermError for n < 1 and where q(n) = 0."""
         q = _at(self.q, n)
         if n < 1 or q == 0:
-            raise IndexError(f"sequence undefined at index {n}")
+            raise UndefinedTermError(f"sequence undefined at index {n}")
         return _at(self.p, n) / q
 
     def __str__(self) -> str:
@@ -117,7 +119,7 @@ class DecimalTruncation:
 
     def term(self, n: int) -> Fraction:
         if not 1 <= n <= self.known_digits:
-            raise IndexError(f"digits known only up to index {self.known_digits}")
+            raise UndefinedTermError(f"digits known only up to index {self.known_digits}")
         whole, frac = CONSTANT_DIGITS[self.tag].split(".")
         return Fraction(int(whole + frac[:n]), 10**n) + self.shift
 

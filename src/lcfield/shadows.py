@@ -13,7 +13,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .calculus import derivative
-from .errors import NotUnlimitedError, UndecidableError
+from .errors import (
+    InconsistentRelationError, InvalidArgumentError, NotUnlimitedError, UndecidableError
+)
 from .expr import Expr, eval_field, eval_rational, parse
 from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
 
@@ -105,9 +107,9 @@ def _shadow_y(H: LCNumber, x0: Fraction, depth: int) -> Fraction:
     probes = [(Fraction(y), status_transitus_residual(H, x0, y, depth).st()) for y in range(3)]
     c2, c1, c0 = _fit_parabola(probes)
     if c2 != 0:
-        raise ArithmeticError("shadow relation is not linear in y")
+        raise InconsistentRelationError("shadow relation is not linear in y")
     if c1 == 0:
-        raise ArithmeticError("shadow relation does not determine y")
+        raise InconsistentRelationError("shadow relation does not determine y")
     return -c0 / c1
 
 
@@ -119,7 +121,7 @@ def _fit_parabola(
     for x, y in points:
         distinct[x] = y
     if len(distinct) < 3:
-        raise ValueError("need at least 3 distinct sample abscissas")
+        raise InvalidArgumentError("need at least 3 distinct sample abscissas")
     (x1, y1), (x2, y2), (x3, y3) = list(distinct.items())[:3]
     # Newton divided differences: y = y1 + d12*(x - x1) + A*(x - x1)*(x - x2).
     d12 = (y2 - y1) / (x2 - x1)
@@ -128,7 +130,7 @@ def _fit_parabola(
     C = y1 - d12 * x1 + A * x1 * x2
     for x, y in distinct.items():
         if A * x * x + B * x + C != y:
-            raise ArithmeticError("sample points do not lie on one parabola")
+            raise InconsistentRelationError("sample points do not lie on one parabola")
     return A, B, C
 
 
@@ -157,7 +159,7 @@ def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
     4*H^2 times the recorded left side, and returns the coefficients of the
     shadow parabola implied by its standard-part image.
 
-    Raises ArithmeticError on any mismatch.
+    Raises InconsistentRelationError on any mismatch.
     """
     chain = parse(
         "((H+2)^2 - ((x^2+y^2) + (x^2+(y-H)^2)))^2 - 4*(x^2+y^2)*(x^2+(y-H)^2)"
@@ -169,7 +171,7 @@ def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
             for hv in range(1, 10):
                 binding = {"x": Fraction(xv), "y": Fraction(yv), "H": Fraction(hv)}
                 if eval_rational(chain, binding) != eval_rational(recorded, binding):
-                    raise ArithmeticError(
+                    raise InconsistentRelationError(
                         f"squaring chain disagrees with recorded form at {binding}"
                     )
     # Shadow parabola from the derived relation, via the standard-part probe.

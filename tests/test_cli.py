@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: text output, JSON contract, exit codes."""
 
+import argparse
+import concurrent.futures
+import importlib.util
 import json
 import os
 import pathlib
@@ -501,3 +504,90 @@ def test_conic_svg_with_a_huge_sample(capsys, tmp_path):
     markup = target.read_text()
     assert markup.startswith("<svg") and markup.endswith("</svg>\n")
     assert f"({huge}," in markup
+
+
+def _session_argvs(seed):
+    """Every argv of the benchmark's cli-session sessions for one seed."""
+    path = REPO_ROOT / "perfbench" / "cases.py"
+    module_spec = importlib.util.spec_from_file_location("_cli_cases", path)
+    cases = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(cases)
+    return [inv["argv"] for session in cases.cli_session(seed)["sessions"] for inv in session]
+
+
+def _fresh_run(columns, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lcfield.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(COLUMNS=columns),
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
+    # One process runs usage errors, an evaluation error, every --help at three
+    # widths and whole benchmark sessions through the one parser; each run must
+    # print what a fresh interpreter prints for the same argv.
+    steps = [("80", ["eval", "x", "--at", "x=1", "--depth", "0"]), ("80", ["frobnicate"]),
+             ("80", ["diff", "x^2"]), ("80", ["shadow", "eps^(-1)"])]
+    helps = [([command] if command else []) + ["--help"] for command in HELP]
+    for columns in ("40", "200", "80"):
+        steps += [(columns, argv) for argv in helps]
+    steps += [("80", argv) for argv in _session_argvs(4242)]
+    monkeypatch.delenv("LC_DEPTH", raising=False)
+    in_process = []
+    for columns, argv in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        in_process.append(run(argv, capsys))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        fresh = list(pool.map(lambda step: _fresh_run(*step), steps))
+    for step, mine, theirs in zip(steps, in_process, fresh):
+        assert mine == theirs, step
+    assert [code for code, _, _ in in_process[:4]] == [2, 2, 2, 1]
+    at_80 = [out for (columns, argv), (_, out, _) in zip(steps, in_process)
+             if columns == "80" and argv in helps]
+    assert at_80 == list(HELP.values())
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(["shadow", "1"], capsys)  # warm-up: builds the parser if no earlier test did
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argvs = [["eval", "x", "--at", "x=eps"], ["diff", "x^2", "--at", "1"], ["shadow", "2 + eps"],
+             ["tlh", "eps"], ["conic"], ["seq", "1/n"], ["zoom", "1"], ["diff", "x^2"],
+             ["seq", "--help"], ["shadow", "eps^(-1)"]]
+    assert [run(argv, capsys)[0] for argv in argvs] == [0] * 7 + [2, 0, 1]
+    assert built == []
+
+
+def test_subcommand_modules_load_on_first_use():
+    # A later top-level import in cli would quietly undo the cold-start saving.
+    script = """
+import contextlib, io, json, sys
+import lcfield.cli as cli
+
+def loaded():
+    return sorted(n for n in sys.modules if n.startswith("lcfield."))
+
+stages = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["eval", "x", "--at", "x=1"])
+    stages.append(loaded())
+    cli.main(["diff", "x^2", "--at", "1"])
+    stages.append(loaded())
+print(json.dumps(stages))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lazy = {f"lcfield.{name}" for name in ("calculus", "sequences", "shadows", "svg")}
+    after_import, after_eval, after_diff = (set(stage) & lazy for stage in json.loads(proc.stdout))
+    assert (after_import, after_eval, after_diff) == (set(), set(), {"lcfield.calculus"})
