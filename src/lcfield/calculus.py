@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import DegenerateProgressionError, InvalidArgumentError, NotInfinitesimalError
 from .expr import Expr, eval_field, free_vars
-from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
+from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational, _exact
 
 
 def _single_var(f: Expr) -> str:
@@ -33,7 +33,7 @@ def _progression(
 ) -> list[LCNumber]:
     """Values of the univariate ``f`` at ``start + i*step`` for ``i < count``."""
     var = _single_var(f)
-    x0 = LCNumber.from_rational(Fraction(start))
+    x0 = LCNumber.from_rational(start)
     return [eval_field(f, {var: x0 + step * i}, depth) for i in range(count)]
 
 
@@ -113,8 +113,8 @@ def product_rule_trace(
     for name, d in (("du", du), ("dv", dv)):
         if not d.is_infinitesimal():
             raise NotInfinitesimalError(f"{name} = {d} is not infinitesimal")
-    u0 = Fraction(u0)
-    v0 = Fraction(v0)
+    u0 = Fraction(_exact(u0))
+    v0 = Fraction(_exact(v0))
     u = LCNumber.from_rational(u0) + du
     v = LCNumber.from_rational(v0) + dv
     expansion = u * v - u0 * v0
@@ -159,7 +159,7 @@ def second_differential_check(
     reported; it vanishes for twice-differentiable data.  The progression
     must be genuinely nonuniform (ddx != 0), which requires g nonlinear.
     """
-    a = Fraction(a)
+    a = Fraction(_exact(a))
     if a == 0:
         raise InvalidArgumentError("parameter a must be nonzero")
     xs = _progression(g, t0, EPS, depth, 3)

@@ -42,7 +42,7 @@ from .errors import (
     UndecidableError,
     ZeroDivisionLCError,
 )
-from .number import DEFAULT_DEPTH, LCNumber, _Cursor, rational_nth_root
+from .number import DEFAULT_DEPTH, LCNumber, _Cursor, _exact, rational_nth_root
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ _RATIONAL = {
 
 def eval_rational(e: Expr, binding: Mapping[str, Fraction]) -> Fraction:
     """Evaluate over plain rationals (the finite-realm baseline)."""
-    return fold(e, {**_RATIONAL, Var: _lookup(binding, Fraction)})
+    return fold(e, {**_RATIONAL, Var: _lookup(binding, lambda value: Fraction(_exact(value)))})
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,27 @@
 Three constructions: the horizontal line as shadow of an oblique line whose
 x-intercept is unlimited; the parabola as shadow of an ellipse whose second
 focus is infinitely distant; and the tangent slope as shadow of a secant
-through two infinitely close points.
+through two infinitely close points.  The parabola is read from the ellipse's
+polynomial relation by the law of homogeneity, which drops the inassignable
+part of each coefficient; the squaring chain behind that relation is checked
+as an exact polynomial identity, not on a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable
 
 from .calculus import derivative
 from .errors import (
     InconsistentRelationError, InvalidArgumentError, NotUnlimitedError, UndecidableError
 )
-from .expr import Expr, eval_field, eval_rational, parse
-from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational
+from .expr import (
+    Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var, _lookup, eval_field, fold, parse
+)
+from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact
 
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
@@ -55,7 +61,7 @@ def line_LH_shadow(
     if H is None:
         H = default_unlimited()
     _require_unlimited(H)
-    x = Fraction(x)
+    x = Fraction(_exact(x))
     y = eval_field(parse("1 - x/H"), {"x": x, "H": H}, depth)
     point = (x, y.st())
     assert point[1] == 1
@@ -94,90 +100,90 @@ def status_transitus_residual(
     (x, y) lies on the shadow parabola.
     """
     _require_unlimited(H)
-    return eval_field(CONIC_LHS, {"x": Fraction(x), "y": Fraction(y), "H": H}, depth)
+    return eval_field(CONIC_LHS, {"x": _exact(x), "y": _exact(y), "H": H}, depth)
 
 
-def _shadow_y(H: LCNumber, x0: Fraction, depth: int) -> Fraction:
-    """Solve st(residual(x0, y)) = 0 for y.
+def _relation(e: Expr, H: LCNumber, depth: int) -> dict:
+    """``e`` as a polynomial in x and y over the field, with H bound: a dict from
+    (i, j) to the coefficient of x^i*y^j, an LCNumber that is not exactly zero.
+    A power that is not a natural number, or a non-constant divisor, raises
+    InconsistentRelationError."""
 
-    The standard-part image of the conic equation is interpolated as a
-    polynomial in y from three probes; the quadratic coefficient cancels, so
-    the relation is linear in y and solved exactly.
-    """
-    probes = [(Fraction(y), status_transitus_residual(H, x0, y, depth).st()) for y in range(3)]
-    c2, c1, c0 = _fit_parabola(probes)
-    if c2 != 0:
-        raise InconsistentRelationError("shadow relation is not linear in y")
-    if c1 == 0:
-        raise InconsistentRelationError("shadow relation does not determine y")
-    return -c0 / c1
+    def collect(pairs) -> dict:
+        out: dict = {}
+        for m, c in pairs:
+            out[m] = out[m] + c if m in out else c
+        return {m: c for m, c in out.items() if not c.is_zero}
 
+    def mul(p: dict, q: dict) -> dict:
+        return collect(((i + k, j + l), a * b)
+                       for (i, j), a in p.items() for (k, l), b in q.items())
 
-def _fit_parabola(
-    points: Sequence[tuple[Fraction, Fraction]]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact least-degree fit y = A*x^2 + B*x + C through >= 3 distinct x."""
-    distinct: dict[Fraction, Fraction] = {}
-    for x, y in points:
-        distinct[x] = y
-    if len(distinct) < 3:
-        raise InvalidArgumentError("need at least 3 distinct sample abscissas")
-    (x1, y1), (x2, y2), (x3, y3) = list(distinct.items())[:3]
-    # Newton divided differences: y = y1 + d12*(x - x1) + A*(x - x1)*(x - x2).
-    d12 = (y2 - y1) / (x2 - x1)
-    A = ((y3 - y2) / (x3 - x2) - d12) / (x3 - x1)
-    B = d12 - A * (x1 + x2)
-    C = y1 - d12 * x1 + A * x1 * x2
-    for x, y in distinct.items():
-        if A * x * x + B * x + C != y:
-            raise InconsistentRelationError("sample points do not lie on one parabola")
-    return A, B, C
+    def pow_(base: dict, q: Fraction) -> dict:
+        if q.denominator != 1 or q < 0:
+            raise InconsistentRelationError(f"relation has the power {q}, not a natural number")
+        return reduce(mul, [base] * q.numerator, {(0, 0): ONE})
+
+    def div(num: dict, den: dict) -> dict:
+        if den.keys() - {(0, 0)}:
+            raise InconsistentRelationError("relation divides by a non-constant")
+        return mul(num, {(0, 0): den.get((0, 0), ZERO).inv(depth)})
+
+    return fold(e, {
+        Var: _lookup({"x": {(1, 0): ONE}, "y": {(0, 1): ONE}, "H": {(0, 0): H}}, dict),
+        Lit: lambda value: collect([((0, 0), LCNumber.from_rational(value))]),
+        Add: lambda p, q: collect([*p.items(), *q.items()]),
+        Sub: lambda p, q: collect([*p.items(), *((m, -c) for m, c in q.items())]),
+        Neg: lambda p: {m: -c for m, c in p.items()},
+        Mul: mul,
+        Pow: pow_,
+        Div: div,
+        Sqrt: lambda p: pow_(p, Fraction(1, 2)),
+    })
 
 
 def conic_shadow(
     H: LCNumber, samples: Iterable[Rational], depth: int = DEFAULT_DEPTH
 ) -> ConicState:
-    """Shadow parabola of the deformed conic, sampled at finite abscissas."""
+    """Shadow parabola of the deformed conic, read from CONIC_LHS, at finite abscissas."""
     _require_unlimited(H)
-    points = []
-    for x0 in samples:
-        x0 = Fraction(x0)
-        y0 = _shadow_y(H, x0, depth)
-        assert y0 == x0 * x0 / 4 - 1
-        points.append((x0, y0))
-    coeffs = _fit_parabola(points)
-    return ConicState(H, CONIC_LHS, coeffs, tuple(points))
+    shadow = {m: s for m, c in _relation(CONIC_LHS, H, depth).items() if (s := c.st())}
+    if any(j > 1 for _, j in shadow):
+        raise InconsistentRelationError("shadow relation is not linear in y")
+    c1 = shadow.pop((0, 1), 0)
+    if c1 == 0:
+        raise InconsistentRelationError("shadow relation does not determine y")
+    A, B, C = (-shadow.pop((i, 0), 0) / c1 for i in (2, 1, 0))
+    if shadow:
+        raise InconsistentRelationError(f"shadow relation is not a parabola: {sorted(shadow)}")
+    xs = [Fraction(_exact(x0)) for x0 in samples]
+    points = tuple((x0, A * x0 * x0 + B * x0 + C) for x0 in xs)
+    assert all(y0 == x0 * x0 / 4 - 1 for x0, y0 in points)
+    if len(set(xs)) < 3:
+        raise InvalidArgumentError("need at least 3 distinct sample abscissas")
+    return ConicState(H, CONIC_LHS, (A, B, C), points)
 
 
 def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
     """Re-derive the twice-squared equation from the two-radical one.
 
-    Squaring the radical equation twice yields the polynomial relation
-    ((H+2)^2 - (A+B))^2 = 4*A*B with A = x^2+y^2 and B = x^2+(y-H)^2.  This
-    function verifies, by exact evaluation on a grid large enough to pin a
-    polynomial of the relevant degree, that the relation coincides with
-    4*H^2 times the recorded left side, and returns the coefficients of the
-    shadow parabola implied by its standard-part image.
-
-    Raises InconsistentRelationError on any mismatch.
+    Squaring the radical equation twice yields ((H+2)^2 - (A+B))^2 = 4*A*B with
+    A = x^2+y^2 and B = x^2+(y-H)^2.  At H = 1/eps, this relation minus 4*H^2
+    times the recorded left side must vanish as an exact polynomial in x and y
+    whose coefficients are Laurent polynomials in H: an identity, not a grid.
+    Returns the shadow parabola's coefficients; raises InconsistentRelationError on a mismatch.
     """
-    chain = parse(
-        "((H+2)^2 - ((x^2+y^2) + (x^2+(y-H)^2)))^2 - 4*(x^2+y^2)*(x^2+(y-H)^2)"
-    )
-    recorded = parse(f"4*H^2*({CONIC_LHS_SRC})")
-    # Total degree <= 8 in each variable; 9 distinct values per variable pin it.
-    for xv in range(-4, 5):
-        for yv in range(-4, 5):
-            for hv in range(1, 10):
-                binding = {"x": Fraction(xv), "y": Fraction(yv), "H": Fraction(hv)}
-                if eval_rational(chain, binding) != eval_rational(recorded, binding):
-                    raise InconsistentRelationError(
-                        f"squaring chain disagrees with recorded form at {binding}"
-                    )
-    # Shadow parabola from the derived relation, via the standard-part probe.
     H = default_unlimited()
-    pts = [(Fraction(x0), _shadow_y(H, Fraction(x0), DEFAULT_DEPTH)) for x0 in (0, 2, 4)]
-    return _fit_parabola(pts)
+    difference = _relation(parse(
+        "((H+2)^2 - ((x^2+y^2) + (x^2+(y-H)^2)))^2 - 4*(x^2+y^2)*(x^2+(y-H)^2)"
+        f" - 4*H^2*({CONIC_LHS_SRC})"
+    ), H, DEFAULT_DEPTH)
+    if difference:
+        i, j = min(difference)
+        raise InconsistentRelationError(
+            f"squaring chain disagrees with recorded form at x^{i}*y^{j}: {difference[i, j]}"
+        )
+    return conic_shadow(H, (0, 2, 4)).shadow_coeffs
 
 
 def conic_point(
@@ -188,7 +194,7 @@ def conic_point(
     Raises UndecidableError when no root is decidably limited at this depth.
     """
     _require_unlimited(H)
-    x = LCNumber.from_rational(Fraction(x))
+    x = LCNumber.from_rational(x)
     Hinv = H.inv(depth)
     # Quadratic a2*y^2 + a1*y + a0 = 0 from the twice-squared equation.
     four_terms = Hinv * 4 + Hinv * Hinv * 4
@@ -219,7 +225,7 @@ def conic_chain_residuals(
     """
     _require_unlimited(H)
     y = conic_point(H, x, depth)
-    x = LCNumber.from_rational(Fraction(x))
+    x = LCNumber.from_rational(x)
     A = x * x + y * y
     B = x * x + (y - H) * (y - H)
     rad_a = A.nth_root(2, depth)

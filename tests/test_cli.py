@@ -80,10 +80,12 @@ class TestHumanOutput:
         assert "embedding" not in out
 
     def test_determinism(self, capsys):
-        argv = ["conic", "--samples", "-4,-2,0,2,4"]
+        # A value that starts with "-" must be attached with "=", or argparse reads it as an option.
+        argv = ["conic", "--samples=-4,-2,0,2,4"]
         first = run(argv, capsys)
         second = run(argv, capsys)
         assert first == second
+        assert first == (0, "y0 = 1/4*x0^2 - 1; points: (-4,3) (-2,0) (0,-1) (2,0) (4,3)\n", "")
 
 
 class TestJsonOutput:

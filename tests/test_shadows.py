@@ -6,16 +6,28 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import expr_to_sympy, random_ratfunc_expr, rationals, sympy_to_fraction
+from conftest import (
+    expr_to_sympy, nonzero_rationals, random_ratfunc_expr, rationals, sympy_to_fraction
+)
+from lcfield import expr, shadows
 from lcfield.calculus import derivative
-from lcfield.errors import LCError, NotUnlimitedError, UndecidableError
-from lcfield.expr import eval_rational, parse
-from lcfield.number import EPS, LCNumber, ONE
+from lcfield.errors import (
+    InconsistentRelationError,
+    InvalidArgumentError,
+    LCError,
+    NotUnlimitedError,
+    UndecidableError,
+    UnlimitedError,
+)
+from lcfield.expr import Add, Div, Lit, Mul, Neg, Pow, Sub, Var, eval_field, eval_rational, parse
+from lcfield.number import EPS, LCNumber, ONE, ZERO
 from lcfield.number import parse as parse_number
 from lcfield.shadows import (
+    CONIC_LHS,
     CONIC_LHS_SRC,
-    _fit_parabola,
+    _relation,
     conic_chain_residuals,
     conic_point,
     conic_shadow,
@@ -78,15 +90,38 @@ class TestConicShadow:
             state = conic_shadow(H, [0, 2, 4])
             assert state.shadow_coeffs == (F(1, 4), F(0), F(-1))
 
-    def test_fit_is_exact_through_any_three_abscissas(self):
-        A, B, C = F(2, 3), F(-1, 2), F(5)
-        points = [(x, A * x * x + B * x + C) for x in (F(3), F(-2), F(1, 7), F(0))]
-        assert _fit_parabola(points) == (A, B, C)
+    def test_duplicate_samples_are_kept_in_order(self):
+        state = conic_shadow(default_unlimited(), [4, 0, 0, 2, 4])
+        assert state.points == ((4, 3), (0, -1), (0, -1), (2, 0), (4, 3))
 
-    def test_points_off_one_parabola_raise(self):
-        points = [(F(0), F(0)), (F(1), F(1)), (F(2), F(4)), (F(3), F(10))]
-        with pytest.raises(ArithmeticError, match="^sample points do not lie on one parabola$"):
-            _fit_parabola(points)
+    def test_default_relation_and_its_shadow(self):
+        relation = _relation(CONIC_LHS, default_unlimited(), 16)
+        assert {m: str(c) for m, c in relation.items()} == {
+            (0, 2): "-4*eps - 4*eps^(2)",
+            (0, 1): "4 + 4*eps",
+            (0, 0): "4 + 8*eps + 4*eps^(2)",
+            (2, 0): "-1 - 4*eps - 4*eps^(2)",
+        }  # shadow: 4*y + 4 - x^2
+
+    def test_unlimited_coefficient_has_no_shadow(self, monkeypatch):
+        monkeypatch.setattr(shadows, "CONIC_LHS", parse("H*y + 4*y + 4 - x^2"))
+        with pytest.raises(UnlimitedError):
+            conic_shadow(default_unlimited(), [0, 2, 4])
+
+    def test_one_fold_per_call(self, monkeypatch):
+        calls, fold = [], expr.fold
+
+        def counting_fold(e, ring):
+            calls.append(e)
+            return fold(e, ring)
+
+        monkeypatch.setattr(expr, "fold", counting_fold)
+        monkeypatch.setattr(shadows, "fold", counting_fold)
+        conic_shadow(default_unlimited(), range(-3, 4))
+        assert calls == [CONIC_LHS]
+        calls.clear()
+        rederive_conic_chain()
+        assert len(calls) == 2 and calls[1] == CONIC_LHS
 
     @given(rationals, rationals)
     @settings(max_examples=100)
@@ -106,6 +141,137 @@ class TestConicShadow:
         ) * (x**2 + (y - H) ** 2)
         recorded = 4 * H**2 * expr_to_sympy(parse(CONIC_LHS_SRC))
         assert sp.expand(chain - recorded) == 0
+
+
+# Reference: the construction conic_shadow made before it read one relation.
+# Per sample, three probes y = 0, 1, 2 of the residual and a parabola in y
+# through their standard parts; then a Newton-difference parabola through the
+# solved sample points.
+def _reference_fit(points):
+    distinct = {}
+    for x, y in points:
+        distinct[x] = y
+    if len(distinct) < 3:
+        raise InvalidArgumentError("need at least 3 distinct sample abscissas")
+    (x1, y1), (x2, y2), (x3, y3) = list(distinct.items())[:3]
+    d12 = (y2 - y1) / (x2 - x1)
+    A = ((y3 - y2) / (x3 - x2) - d12) / (x3 - x1)
+    B = d12 - A * (x1 + x2)
+    C = y1 - d12 * x1 + A * x1 * x2
+    for x, y in distinct.items():
+        if A * x * x + B * x + C != y:
+            raise InconsistentRelationError("sample points do not lie on one parabola")
+    return A, B, C
+
+
+def _reference_shadow_y(H, x0, depth):
+    probes = [(F(y), status_transitus_residual(H, x0, y, depth).st()) for y in range(3)]
+    c2, c1, c0 = _reference_fit(probes)
+    if c2 != 0:
+        raise InconsistentRelationError("shadow relation is not linear in y")
+    if c1 == 0:
+        raise InconsistentRelationError("shadow relation does not determine y")
+    return -c0 / c1
+
+
+def _reference_conic_shadow(H, samples, depth):
+    shadows._require_unlimited(H)
+    points = tuple((F(x0), _reference_shadow_y(H, F(x0), depth)) for x0 in samples)
+    return _reference_fit(points), points
+
+
+def _coeffs_and_points(H, samples, depth=16):
+    state = conic_shadow(H, samples, depth)
+    return state.shadow_coeffs, state.points
+
+
+def _outcome(call):
+    """repr of the result (so an int is not taken for a Fraction), or the error."""
+    try:
+        return repr(call())
+    except LCError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def lattice_H(draw):
+    """Two or three terms on a lattice 1/2..1/11, leading exponent mostly negative."""
+    L = draw(st.integers(2, 11))
+    lead = draw(st.integers(-2 * L, 1))
+    steps = draw(st.lists(st.integers(1, 3 * L), min_size=1, max_size=2, unique=True))
+    exps = [lead] + [lead + k for k in steps]
+    return LCNumber([(F(e, L), draw(nonzero_rationals)) for e in exps])
+
+
+_SAMPLE_POOL = [F(v) for v in range(-3, 4)] + [F(1, 2), F(-5, 3)]
+
+
+class TestParityWithProbes:
+    @given(lattice_H(), st.integers(1, 16), st.lists(st.sampled_from(_SAMPLE_POOL), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_coefficients_points_and_errors(self, H, depth, samples):
+        got = _outcome(lambda: _coeffs_and_points(H, samples, depth))
+        assert got == _outcome(lambda: _reference_conic_shadow(H, samples, depth))
+
+    def test_default_H_and_the_fixed_cases(self):
+        for H in UNLIMITEDS + [LCNumber.from_rational(5)]:
+            for samples in ([], [0, 0, 2], [0, 2, 4], [4, 0, 0, 2, 4], [-4, -2, 0, 2, 4]):
+                got = _outcome(lambda: _coeffs_and_points(H, samples))
+                assert got == _outcome(lambda: _reference_conic_shadow(H, samples, 16))
+
+
+_LEAVES = st.one_of(st.sampled_from([Var("x"), Var("y"), Var("H")]), rationals.map(Lit))
+_DIVISORS = st.one_of(
+    nonzero_rationals.map(Lit), st.integers(1, 3).map(lambda k: Pow(Var("H"), F(k)))
+)
+
+
+@st.composite
+def relation_trees(draw, depth=4):
+    """Polynomials in x, y and H, divided only by nonzero literals and powers of H."""
+    if depth == 0 or draw(st.integers(0, 3)) == 3:
+        return draw(_LEAVES)
+    sub = relation_trees(depth - 1)
+    kind = draw(st.sampled_from([Add, Sub, Mul, Neg, Pow, Div]))
+    if kind is Neg:
+        return Neg(draw(sub))
+    if kind is Pow:
+        return Pow(draw(sub), F(draw(st.integers(0, 2))))
+    return kind(draw(sub), draw(_DIVISORS if kind is Div else sub))
+
+
+class TestRelation:
+    @given(relation_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy_expansion(self, tree):
+        # At H = eps^(-1) every coefficient is exact and eps^(-k) reads as H^k.
+        x, y, H = sp.symbols("x y H")
+        relation = _relation(tree, default_unlimited(), 16)
+        total = 0
+        for (i, j), c in relation.items():
+            assert c.terms and c.trunc is None
+            for q, a in c.terms:
+                assert q.denominator == 1
+                total += sp.Rational(a.numerator, a.denominator) * x**i * y**j * H ** int(-q)
+        assert sp.expand(expr_to_sympy(tree) - total) == 0
+
+    @given(relation_trees(), rationals, rationals, st.one_of(st.just(EPS.inv()), lattice_H()),
+           st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_eval_field_at_a_point(self, tree, x0, y0, H, depth):
+        if not H.terms or H.terms[0][0] >= 0:
+            H = H * EPS.inv()  # make it unlimited
+        relation = _relation(tree, H, depth)
+        at_point = sum((c * (x0**i * y0**j) for (i, j), c in relation.items()), ZERO)
+        direct = eval_field(tree, {"x": x0, "y": y0, "H": H}, depth)
+        assert not (at_point - direct).terms, (at_point, direct)
+
+    def test_binding_and_zero(self):
+        assert _relation(parse("x - x + 0*y"), default_unlimited(), 16) == {}
+        with pytest.raises(LCError, match="^variable 'z' is not bound$"):
+            _relation(parse("x + z"), default_unlimited(), 16)
+        with pytest.raises(ZeroDivisionError):
+            _relation(parse("x/(H - H)"), default_unlimited(), 16)
 
 
 class TestConicPoint:

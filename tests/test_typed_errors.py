@@ -5,8 +5,6 @@ before, so `except ValueError` / `IndexError` / `ArithmeticError` / `TypeError`
 in callers still hold, and one `except LCError` catches them all.
 """
 
-from fractions import Fraction as F
-
 import pytest
 
 import lcfield
@@ -18,18 +16,11 @@ from lcfield.errors import (
     LCError,
     UndefinedTermError,
 )
-from lcfield.number import LCNumber
-
-
-def _residual_quadratic_in_y(H, x0, y, depth):
-    return LCNumber.from_rational(F(y) * y)
-
-
-def _residual_free_of_y(H, x0, y, depth):
-    return LCNumber.from_rational(1)
+from lcfield.number import EPS
 
 
 _H = shadows.default_unlimited
+_X, _T2 = expr.parse("x"), expr.parse("t^2")
 
 
 # (patch or None, call, typed class, builtin base, message prefix)
@@ -40,14 +31,20 @@ CASES = [
      InvalidArgumentError, ValueError, "parameter a must be nonzero"),
     (None, lambda: shadows.conic_shadow(_H(), [0, 0, 2]), InvalidArgumentError, ValueError,
      "need at least 3 distinct sample abscissas"),
-    (None, lambda: shadows._fit_parabola([(F(0), F(0)), (F(1), F(1)), (F(2), F(4)), (F(3), F(0))]),
-     InconsistentRelationError, ArithmeticError, "sample points do not lie on one parabola"),
-    (("status_transitus_residual", _residual_quadratic_in_y),
-     lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
+    (("CONIC_LHS", expr.parse("x^2 - y^2")), lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
      InconsistentRelationError, ArithmeticError, "shadow relation is not linear in y"),
-    (("status_transitus_residual", _residual_free_of_y),
-     lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
+    (("CONIC_LHS", expr.parse("x^2 - 4")), lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
      InconsistentRelationError, ArithmeticError, "shadow relation does not determine y"),
+    (("CONIC_LHS", expr.parse("y - x^3")), lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
+     InconsistentRelationError, ArithmeticError, "shadow relation is not a parabola: [(3, 0)]"),
+    (None, lambda: shadows._relation(expr.parse("1/(x + 1)"), _H(), 16),
+     InconsistentRelationError, ArithmeticError, "relation divides by a non-constant"),
+    (None, lambda: shadows._relation(expr.parse("x^(1/2)"), _H(), 16),
+     InconsistentRelationError, ArithmeticError, "relation has the power 1/2, not a natural number"),
+    (None, lambda: shadows._relation(expr.parse("sqrt(y)"), _H(), 16),
+     InconsistentRelationError, ArithmeticError, "relation has the power 1/2, not a natural number"),
+    (None, lambda: shadows._relation(expr.parse("y^-1"), _H(), 16),
+     InconsistentRelationError, ArithmeticError, "relation has the power -1, not a natural number"),
     (("CONIC_LHS_SRC", "x^2 - y"), shadows.rederive_conic_chain, InconsistentRelationError,
      ArithmeticError, "squaring chain disagrees with recorded form at "),
     (None, lambda: sequences.parse_sequence("n/(n-2)").term(2), UndefinedTermError, IndexError,
@@ -58,6 +55,26 @@ CASES = [
      "digits known only up to index 5"),
     (None, lambda: expr.eval_field(expr.Add(expr.Var("x"), "y"), {"x": 1}), CoercionError,
      TypeError, "not an expression node: 'y'"),
+] + [
+    # A float is never read as a rational, and a string is never parsed.
+    (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
+    for call, kind in [
+        (lambda: expr.eval_rational(expr.parse("x + 1"), {"x": 0.1}), "float"),
+        (lambda: expr.eval_rational(expr.parse("x + 1"), {"x": "1/3"}), "str"),
+        (lambda: shadows.line_LH_shadow(0.1), "float"),
+        (lambda: shadows.status_transitus_residual(_H(), 0.1, 0), "float"),
+        (lambda: shadows.status_transitus_residual(_H(), 0, "1/3"), "str"),
+        (lambda: shadows.conic_shadow(_H(), [0, 2, 0.1]), "float"),
+        (lambda: shadows.conic_point(_H(), 0.1), "float"),
+        (lambda: shadows.conic_chain_residuals(_H(), 0.1), "float"),
+        (lambda: calculus.derivative(expr.parse("x^2"), 0.1), "float"),
+        (lambda: calculus.derivative(expr.parse("x^2"), "1/3"), "str"),
+        (lambda: calculus.second_derivative(expr.parse("x^2"), 0.1), "float"),
+        (lambda: calculus.second_differential_check(_X, 0.5, _T2, 0), "float"),
+        (lambda: calculus.second_differential_check(_X, 1, _T2, 0.1), "float"),
+        (lambda: calculus.product_rule_trace(0.1, 1, EPS, EPS), "float"),
+        (lambda: calculus.product_rule_trace(1, 0.1, EPS, EPS), "float"),
+    ]
 ]
 
 
