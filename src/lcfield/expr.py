@@ -1,12 +1,12 @@
 """A small expression language evaluated verbatim over the enriched field.
 
-The same syntax tree can be evaluated over plain rationals
-(:func:`eval_rational`) or over :class:`~lcfield.number.LCNumber` values
-(:func:`eval_field`); each is a table of rules for the one tree walker
-:func:`fold`.  Nothing in the evaluator special-cases infinitesimal or
-unlimited inputs: rules instituted on finite rationals are applied unchanged
-to inassignable values, and :func:`transfer_check` probes that this actually
-preserves identities.
+The same syntax tree can be evaluated over plain rationals (:func:`eval_rational`)
+or over :class:`~lcfield.number.LCNumber` values (:func:`eval_field`); each is a
+table of rules for :func:`fold`.  The node table states the tree's shape once, and
+every walk over a tree, ``==``, ``hash``, ``repr`` and pickle included, is one loop.
+Nothing in the evaluator special-cases infinitesimal or unlimited inputs: rules
+instituted on finite rationals are applied unchanged to inassignable values, and
+:func:`transfer_check` probes that this actually preserves identities.
 
 Grammar (also in docs/grammar.md)::
 
@@ -31,7 +31,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from .errors import (
     CoercionError,
@@ -50,109 +50,112 @@ from .number import DEFAULT_DEPTH, LCNumber, _Cursor, _exact, rational_nth_root
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Node:
+    """An immutable, slotted syntax-tree node.  Its type is a row of the table below:
+    ``OPERANDS`` names the subtree fields in evaluation order, ``DATA`` the field whose
+    value follows theirs into a ring, or ``None``.  Arities are fixed, so the flat
+    ``(type, data)`` :func:`_preorder` that ``==``, ``hash`` and pickle use fixes the tree."""
+
+    __slots__ = ()
+    OPERANDS: tuple = ()
+    DATA: Optional[str] = None
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same_type = type(other) is type(self)
+        return _preorder(self) == _preorder(other) if same_type else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        return fold(self, _REPR)
+
+    def __reduce__(self):
+        return _evaluate, (_preorder(self), _NODES)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+_REPR: dict = {}  # each node type to a rule that prints the text a dataclass would
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+def _node(name: str, operands: tuple, data: Optional[str]) -> type:
+    """The node type ``name`` with the given operand fields and data field."""
+    fields = operands + ((data,) if data else ())
+    cls = type(name, (Node,), {"__slots__": fields, "OPERANDS": operands, "DATA": data})
+    # The slots' own setters pass Node.__setattr__ by, at a dataclass __init__'s cost.
+    set0, set1 = [cls.__dict__[f].__set__ for f in fields] + [None] * (2 - len(fields))
+    if set1 is None:
+        def __init__(self, a):
+            set0(self, a)
+    else:
+        def __init__(self, a, b):
+            set0(self, a)
+            set1(self, b)
+    __init__.__qualname__ = f"{name}.__init__"
+    cls.__init__ = __init__
+    shown = [f"{f}={{}}" for f in operands] + [f"{f}={{!r}}" for f in fields[len(operands):]]
+    _REPR[cls] = f"{name}({', '.join(shown)})".format
+    return cls
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+Var = _node("Var", (), "name")
+Lit = _node("Lit", (), "value")
+Add, Sub, Mul, Div = (_node(name, ("left", "right"), None) for name in "Add Sub Mul Div".split())
+Neg, Sqrt = (_node(name, ("operand",), None) for name in ("Neg", "Sqrt"))
+Pow = _node("Pow", ("base",), "exponent")
+Expr = Node
+_NODES = {cls: cls for cls in _REPR}  # evaluating a preorder with it rebuilds the tree
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+def _preorder(e: Expr) -> list:
+    """The ``(type, data)`` pair of every node of ``e``, each before its operands,
+    the last operand's subtree first: reversed, it is the left-to-right postorder.
+    A loop over an explicit stack stands in for recursion, so no tree is too deep."""
+    pairs, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        try:
+            operands, data = cls.OPERANDS, cls.DATA
+        except AttributeError:
+            raise CoercionError(f"not an expression node: {node!r}") from None
+        pairs.append((cls, data and getattr(node, data)))
+        for name in operands:
+            stack.append(getattr(node, name))
+    return pairs
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class Sqrt:
-    operand: "Expr"
-
-
-Expr = Union[Var, Lit, Add, Sub, Mul, Div, Neg, Pow, Sqrt]
-
-
-# Per node type: the fields holding its operand subtrees, in evaluation order,
-# and the field whose value follows the operands' values into the ring, if any.
-_SHAPES = {
-    Var: ((), "name"),
-    Lit: ((), "value"),
-    Pow: (("base",), "exponent"),
-    **dict.fromkeys((Neg, Sqrt), (("operand",), None)),
-    **dict.fromkeys((Add, Sub, Mul, Div), (("left", "right"), None)),
-}
+def _evaluate(preorder: list, ring: Mapping[type, Callable]):
+    """Call ``ring[type]`` at every node of a :func:`_preorder`, operands first."""
+    values: list = []
+    for cls, data in reversed(preorder):
+        arity = len(cls.OPERANDS)
+        if arity:  # a leaf, about half of any tree, skips the slicing
+            args = values[-arity:]
+            del values[-arity:]
+        else:
+            args = []
+        if cls.DATA is not None:
+            args.append(data)
+        values.append(ring[cls](*args))
+    return values[0]
 
 
 def fold(e: Expr, ring: Mapping[type, Callable]):
     """Evaluate ``e`` bottom-up, calling ``ring[type(node)]`` at every node.
 
     A Var's entry gets its name, a Lit's its value, a Pow's its base's value
-    and then the exponent, and every other node's entry its operands' values.
-    Operands are evaluated left to right.  Two loops over explicit lists stand
-    in for recursion, so no tree is too deep to walk.
-    """
-    preorder, stack = [], [e]  # right operands first: reversed, it is left-to-right postorder
-    while stack:
-        node = stack.pop()
-        if type(node) not in _SHAPES:
-            raise CoercionError(f"not an expression node: {node!r}")
-        preorder.append(node)
-        for name in _SHAPES[type(node)][0]:
-            stack.append(getattr(node, name))
-    values: list = []
-    for node in reversed(preorder):
-        operands, data = _SHAPES[type(node)]
-        split = len(values) - len(operands)
-        args = values[split:]
-        del values[split:]
-        if data is not None:
-            args.append(getattr(node, data))
-        values.append(ring[type(node)](*args))
-    return values[0]
-
-
-_FREE_VARS = {
-    Var: lambda name: frozenset([name]),
-    Lit: lambda value: frozenset(),
-    Pow: lambda names, exponent: names,
-    **dict.fromkeys((Neg, Sqrt), lambda names: names),
-    **dict.fromkeys((Add, Sub, Mul, Div), operator.or_),
-}
+    and then the exponent, and every other node's entry its operands' values,
+    evaluated left to right: one loop down the tree and one back up."""
+    return _evaluate(_preorder(e), ring)
 
 
 def free_vars(e: Expr) -> frozenset:
-    return fold(e, _FREE_VARS)
+    return frozenset(data for cls, data in _preorder(e) if cls is Var)
 
 
 # ---------------------------------------------------------------------------

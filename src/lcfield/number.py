@@ -222,11 +222,7 @@ class LCNumber:
 
     @staticmethod
     def _coerce(x: Scalar) -> "LCNumber":
-        if isinstance(x, LCNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LCNumber.from_rational(x)
-        raise CoercionError(f"cannot coerce {type(x).__name__} to LCNumber")
+        return x if isinstance(x, LCNumber) else LCNumber.from_rational(x)
 
     def __add__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)

@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import (
-    ParseError, UndefinedTermError, UnlimitedError, UnsupportedKindError, ZeroDivisionLCError
+    InvalidArgumentError, ParseError, UndefinedTermError, UnlimitedError, UnsupportedKindError,
+    ZeroDivisionLCError,
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
-from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational
+from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact
 
 #: Leading decimal digits of the supported declared constants.
 CONSTANT_DIGITS = {
@@ -92,7 +93,7 @@ class RationalFunctionOfN:
 
     def term(self, n: int) -> Fraction:
         """p(n)/q(n); UndefinedTermError for n < 1 and where q(n) = 0."""
-        q = _at(self.q, n)
+        q = _at(self.q, _exact(n, (int,)))
         if n < 1 or q == 0:
             raise UndefinedTermError(f"sequence undefined at index {n}")
         return _at(self.p, n) / q
@@ -112,13 +113,13 @@ class DecimalTruncation:
 
     def __post_init__(self):
         if self.tag not in CONSTANT_DIGITS:
-            raise ValueError(f"unknown constant tag {self.tag!r}")
+            raise InvalidArgumentError(f"unknown constant tag {self.tag!r}")
         available = len(CONSTANT_DIGITS[self.tag].split(".")[1])
         if not 1 <= self.known_digits <= available:
-            raise ValueError(f"known_digits must be in 1..{available}")
+            raise InvalidArgumentError(f"known_digits must be in 1..{available}")
 
     def term(self, n: int) -> Fraction:
-        if not 1 <= n <= self.known_digits:
+        if not 1 <= _exact(n, (int,)) <= self.known_digits:
             raise UndefinedTermError(f"digits known only up to index {self.known_digits}")
         whole, frac = CONSTANT_DIGITS[self.tag].split(".")
         return Fraction(int(whole + frac[:n]), 10**n) + self.shift

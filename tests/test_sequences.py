@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lcfield.errors import (
+    InvalidArgumentError,
     LCError,
     ParseError,
     UnlimitedError,
@@ -141,7 +142,7 @@ class TestParsing:
     def test_decimal_truncation_keeps_value_error(self):
         with pytest.raises(ValueError) as info:
             DecimalTruncation("pi", 0)
-        assert not isinstance(info.value, LCError)
+        assert isinstance(info.value, InvalidArgumentError) and isinstance(info.value, LCError)
 
 
 class TestRingOps:

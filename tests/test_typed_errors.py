@@ -5,6 +5,8 @@ before, so `except ValueError` / `IndexError` / `ArithmeticError` / `TypeError`
 in callers still hold, and one `except LCError` catches them all.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import lcfield
@@ -60,6 +62,7 @@ CASES = [
     (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
     for call, kind in [
         (lambda: expr.eval_rational(expr.parse("x + 1"), {"x": 0.1}), "float"),
+        (lambda: expr.eval_field(_X, {"x": 0.1}), "float"),
         (lambda: expr.eval_rational(expr.parse("x + 1"), {"x": "1/3"}), "str"),
         (lambda: shadows.line_LH_shadow(0.1), "float"),
         (lambda: shadows.status_transitus_residual(_H(), 0.1, 0), "float"),
@@ -75,6 +78,11 @@ CASES = [
         (lambda: calculus.product_rule_trace(0.1, 1, EPS, EPS), "float"),
         (lambda: calculus.product_rule_trace(1, 0.1, EPS, EPS), "float"),
     ]
+] + [
+    # A sequence index is an int: never rounded, never parsed.
+    (None, lambda src=src, n=n: sequences.parse_sequence(src).term(n), CoercionError, TypeError,
+     f"expected int, got {type(n).__name__}")
+    for src, n in [("1/n", 2.0), ("1/n", Fraction(3, 2)), ("1/n", "3"), ("const:pi:5", 2.0)]
 ]
 
 

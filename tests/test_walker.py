@@ -1,11 +1,15 @@
-"""The one tree walker (expr.fold) behind every evaluator.
+"""The one tree walk (expr._preorder) behind every evaluator and every node method.
 
-The recursive evaluators the walker replaced are kept below as the
-reference.  Random trees must give the same value (or string, or name set)
-both ways; where one side raises, the other must raise too.  Trees far
-deeper than Python's recursion limit must evaluate without recursion.
+The recursive evaluators the walker replaced, and the recursive ``repr`` and
+``==`` that dataclass nodes had, are kept below as the reference.  Random
+trees must give the same value (or string, or name set) both ways; where one
+side raises, the other must raise too.  Trees far deeper than Python's
+recursion limit must evaluate, compare, hash, print and pickle without
+recursion.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals
+from lcfield import expr
 from lcfield.errors import (
     NotAnNthPowerError,
     NotAPerfectSquareError,
@@ -26,10 +31,13 @@ from lcfield.expr import (
     Lit,
     Mul,
     Neg,
+    Node,
     Pow,
     Sqrt,
     Sub,
     Var,
+    _RENDER,
+    _REPR,
     _decimal_str,
     _render_exponent,
     eval_field,
@@ -159,6 +167,36 @@ def ref_eval_rational(e, binding):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def ref_repr(e):
+    if isinstance(e, Var):
+        return f"Var(name={e.name!r})"
+    if isinstance(e, Lit):
+        return f"Lit(value={e.value!r})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return f"{type(e).__name__}(left={ref_repr(e.left)}, right={ref_repr(e.right)})"
+    if isinstance(e, (Neg, Sqrt)):
+        return f"{type(e).__name__}(operand={ref_repr(e.operand)})"
+    if isinstance(e, Pow):
+        return f"Pow(base={ref_repr(e.base)}, exponent={e.exponent!r})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def ref_eq(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        return a.name == b.name
+    if isinstance(a, Lit):
+        return a.value == b.value
+    if isinstance(a, (Add, Sub, Mul, Div)):
+        return ref_eq(a.left, b.left) and ref_eq(a.right, b.right)
+    if isinstance(a, (Neg, Sqrt)):
+        return ref_eq(a.operand, b.operand)
+    if isinstance(a, Pow):
+        return a.exponent == b.exponent and ref_eq(a.base, b.base)
+    raise TypeError(f"not an expression node: {a!r}")
+
+
 def outcome(fn, *args):
     """("ok", value) or ("raise", class name, message)."""
     try:
@@ -191,6 +229,17 @@ class TestAgainstReference:
         if "ok" in (got[0], expected[0]):
             assert got == expected
         # Both raise; with two faults in one tree each order may report the other one.
+
+    @given(expr_trees(), expr_trees())
+    @settings(max_examples=300)
+    def test_repr_eq_and_hash(self, a, b):
+        assert repr(a) == ref_repr(a)
+        assert (a == b) == ref_eq(a, b) and (a != b) != ref_eq(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+        rebuilt = pickle.loads(pickle.dumps(a))
+        assert rebuilt is not a and rebuilt == a and ref_eq(rebuilt, a)
+        assert hash(rebuilt) == hash(a) and repr(rebuilt) == repr(a)
 
     def test_two_faults_report_the_left_one(self):
         tree = parse("sqrt(0.5)/0")
@@ -226,3 +275,48 @@ class TestDeepTrees:
         assert eval_rational(tree, {"x": F(2)}) == -2
         assert render(tree) == "(0 + " + "(-" * 1001 + "x" + ")" * 1002
 
+
+    @pytest.mark.parametrize("src, head", [(SUM, "Add(left=Add("), (CHAIN, "Pow(base=Pow(")])
+    def test_node_methods(self, src, head):
+        tree, again = parse(src), parse(src)
+        assert tree == again and hash(tree) == hash(again)
+        assert repr(tree).startswith(head)
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+
+
+class TestNodes:
+    def test_equality_follows_the_dataclass_rules(self):
+        assert Lit(1) == Lit(F(1)) and hash(Lit(1)) == hash(Lit(F(1)))
+        assert Add(Var("a"), Var("b")) != Sub(Var("a"), Var("b"))
+        assert Var("x") != "x" and Var("x").__eq__("x") is NotImplemented
+        assert Var("x").__eq__(Lit(1)) is NotImplemented
+
+    def test_fields_cannot_be_assigned(self):
+        tree = Add(Var("x"), Lit(F(1)))
+        with pytest.raises(AttributeError):
+            tree.left = Var("y")
+        with pytest.raises(AttributeError):
+            del tree.right
+        with pytest.raises(AttributeError):
+            tree.extra = 1
+        assert tree.left == Var("x")
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Add(Var("x")), lambda: Neg(), lambda: Pow(Var("x"), F(2), F(3)), lambda: Var()],
+    )
+    def test_wrong_arity_is_a_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_every_total_table_covers_every_node_type(self, monkeypatch):
+        rings = []
+        fold = expr.fold
+        monkeypatch.setattr(expr, "fold", lambda e, ring: rings.append(ring) or fold(e, ring))
+        eval_field(parse("x"), {"x": EPS})
+        eval_rational(parse("x"), {"x": F(1)})
+        nodes = set(Node.__subclasses__())
+        assert len(nodes) == 9 and len(rings) == 2
+        for table in (_RENDER, _REPR, *rings):
+            assert set(table) == nodes
