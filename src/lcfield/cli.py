@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import LCError
 from .expr import eval_field, parse as parse_expr
-from .number import DEFAULT_DEPTH, LCNumber
+from .number import DEFAULT_DEPTH, LCNumber, poly_text
 from .number import parse as parse_number
 
 
@@ -113,9 +113,9 @@ def _cmd_tlh(args, depth: int) -> tuple[dict, list[str]]:
 
 
 def _cmd_conic(args, depth: int) -> tuple[dict, list[str]]:
-    from . import sequences, shadows, svg
+    from . import shadows, svg
     state = shadows.conic_shadow(shadows.default_unlimited(), args.samples, depth)
-    equation = f"y0 = {sequences.poly_text(zip((2, 1, 0), state.shadow_coeffs), 'x0')}"
+    equation = f"y0 = {poly_text(zip((2, 1, 0), state.shadow_coeffs), 'x0')}"
     points_text = " ".join(f"({x},{y})" for x, y in state.points)
     result = {
         "coefficients": {k: str(c) for k, c in zip("ABC", state.shadow_coeffs)},

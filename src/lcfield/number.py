@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
@@ -26,6 +27,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import (
     CoercionError,
+    InvalidArgumentError,
     NegativeRootError,
     NotAnNthPowerError,
     ParseError,
@@ -141,8 +143,8 @@ def _binomial_series(rel: list, alpha: Fraction, n: int) -> list:
 
 
 def _exact(x, kinds: tuple = (int, Fraction)):
-    """x itself if it is one of ``kinds``; a float, say, is refused, never rounded."""
-    if isinstance(x, kinds):
+    """x if it is one of ``kinds`` and not a bool; a float, say, is refused, never rounded."""
+    if isinstance(x, kinds) and type(x) is not bool:
         return x
     names = " or ".join(kind.__name__ for kind in kinds)
     raise CoercionError(f"expected {names}, got {type(x).__name__}")
@@ -339,8 +341,13 @@ class LCNumber:
         truncated after ``depth`` exponent steps beyond the leading exponent
         (a step is the gcd granularity of the operand's exponents), or sooner
         if the operand's own truncation gives out first.  Unlike
-        :meth:`pow_int`, a positive integer alpha is truncated as well.
+        :meth:`pow_int`, a positive integer alpha is truncated as well.  A depth
+        that is not an ``int`` of at least 1 raises InvalidArgumentError.
         """
+        if type(depth) is not int:
+            raise InvalidArgumentError(f"depth must be an int, got {type(depth).__name__}")
+        if depth < 1:
+            raise InvalidArgumentError(f"depth must be at least 1, got {depth}")
         alpha = Fraction(_exact(alpha))
         p, q = alpha.numerator, alpha.denominator
         if not self.terms:
@@ -402,9 +409,9 @@ class LCNumber:
         return self.compare(other) is not Comparison.LT
 
     def __eq__(self, other) -> bool:
-        # Canonical-form equality: same terms and same truncation order.
+        # Canonical-form equality: same terms and same truncation order; a bool is its int.
         if isinstance(other, (int, Fraction)):
-            other = LCNumber.from_rational(other)
+            other = LCNumber.from_rational(Fraction(other))
         if not isinstance(other, LCNumber):
             return NotImplemented
         return self.terms == other.terms and self.trunc == other.trunc
@@ -497,37 +504,39 @@ ONE = LCNumber.from_rational(1)
 # ---------------------------------------------------------------------------
 # Canonical text form: terms ascending by exponent joined by " + " / " - ",
 # each term "c", "c*eps" or "c*eps^(p/q)", with a trailing " + O(eps^(T))"
-# for a bounded truncation order.
+# for a bounded truncation order.  Polynomials print by the same signed sum.
 # ---------------------------------------------------------------------------
 
 
-def _render_term(exponent: Fraction, coeff: Fraction) -> str:
+def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
+    """``(negative, text)`` summands as ``a - b + c``, a leading ``-`` for a negative
+    first summand, and ``0`` when there are none."""
+    text = "".join(f" - {t}" if negative else f" + {t}" for negative, t in summands)
+    return "-" + text[3:] if text[:3] == " - " else text[3:] or "0"
+
+
+def _summand(coeff: Rational, name: str) -> tuple[bool, str]:
+    """The summand ``coeff*name`` as a ``(negative, text)`` pair; ``name`` is empty
+    for a constant, and a coefficient of magnitude 1 is left out."""
     mag = abs(coeff)
-    if exponent == 0:
-        return str(mag)
-    if exponent == 1:
-        eps = "eps"
-    else:
-        eps = f"eps^({exponent})"
-    if mag == 1:
-        return eps
-    return f"{mag}*{eps}"
+    return coeff < 0, str(mag) if not name else name if mag == 1 else f"{mag}*{name}"
 
 
 def render(a: LCNumber) -> str:
-    parts: list[str] = []
-    for i, (q, c) in enumerate(a.terms):
-        body = _render_term(q, c)
-        if i == 0:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f" {'-' if c < 0 else '+'} {body}")
+    summands = [_summand(c, "" if q == 0 else "eps" if q == 1 else f"eps^({q})")
+                for q, c in a.terms]
     if a.trunc is not None:
-        tail = f"O(eps^({a.trunc}))"
-        parts.append(f" + {tail}" if parts else tail)
-    if not parts:
-        return "0"
-    return "".join(parts)
+        summands.append((False, f"O(eps^({a.trunc}))"))
+    return _signed_sum(summands)
+
+
+def poly_text(pairs: Iterable[tuple[Rational, Rational]], variable: str) -> str:
+    """A polynomial from ``(power, coefficient)`` pairs in display order, e.g.
+    ``1 - 2*n + n^3``; zero coefficients are left out."""
+    return _signed_sum(
+        _summand(c, "" if power == 0 else variable if power == 1 else f"{variable}^{power}")
+        for power, c in pairs if c != 0
+    )
 
 
 class _Cursor:
@@ -535,7 +544,8 @@ class _Cursor:
 
     A grammar subclass supplies ``TOKEN_RE``, one group per token kind named
     in ``KINDS`` and a final ``(\\S)`` group for any other character.  Tokens
-    are ``(kind, text, offset)``; the minus sign U+2212 reads as ``-``.
+    are ``(kind, text, offset)``; the minus sign U+2212 reads as ``-``.  A digit
+    run longer than ``sys.get_int_max_str_digits()`` allows is a ParseError.
     """
 
     TOKEN_RE: re.Pattern
@@ -544,10 +554,14 @@ class _Cursor:
     def __init__(self, src: str):
         self.src = src
         self.tokens = []
+        cap = getattr(sys, "get_int_max_str_digits", int)()  # 0 where Python has no cap
         for m in self.TOKEN_RE.finditer(src.replace("−", "-")):
             if m.lastindex > len(self.KINDS):
                 raise ParseError(f"unexpected character {m.group()!r}", m.start())
-            self.tokens.append((self.KINDS[m.lastindex - 1], m.group(), m.start()))
+            text = m.group()
+            if 0 < cap < len(text) and text[0].isdigit() and max(map(len, text.split("."))) > cap:
+                raise ParseError(f"number has more than {cap} digits", m.start())
+            self.tokens.append((self.KINDS[m.lastindex - 1], text, m.start()))
         self.i = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:

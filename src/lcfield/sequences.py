@@ -19,14 +19,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import (
     InvalidArgumentError, ParseError, UndefinedTermError, UnlimitedError, UnsupportedKindError,
     ZeroDivisionLCError,
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
-from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact
+from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text
 
 #: Leading decimal digits of the supported declared constants.
 CONSTANT_DIGITS = {
@@ -44,22 +44,6 @@ N = LCNumber.monomial(1, -1)
 def _at(p: LCNumber, n: Rational) -> Fraction:
     """Value of a polynomial in n at the index n."""
     return sum((c * Fraction(n) ** int(-e) for e, c in p.terms), Fraction(0))
-
-
-def poly_text(pairs: Iterable[tuple[Rational, Rational]], variable: str) -> str:
-    """A polynomial from ``(power, coefficient)`` pairs in display order, e.g.
-    ``1 - 2*n + n^3``; zero coefficients are left out."""
-    parts = []
-    for power, c in pairs:
-        if c == 0:
-            continue
-        name = variable if power == 1 else f"{variable}^{power}"
-        body = str(abs(c)) if power == 0 else name if abs(c) == 1 else f"{abs(c)}*{name}"
-        if parts:
-            parts.append(f"{'-' if c < 0 else '+'} {body}")
-        else:
-            parts.append(body if c > 0 else f"-{body}")
-    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +99,7 @@ class DecimalTruncation:
         if self.tag not in CONSTANT_DIGITS:
             raise InvalidArgumentError(f"unknown constant tag {self.tag!r}")
         available = len(CONSTANT_DIGITS[self.tag].split(".")[1])
-        if not 1 <= self.known_digits <= available:
+        if not 1 <= _exact(self.known_digits, (int,)) <= available:
             raise InvalidArgumentError(f"known_digits must be in 1..{available}")
 
     def term(self, n: int) -> Fraction:
@@ -286,10 +270,9 @@ def parse_sequence(src: str) -> RationalSequence:
         tag = m.group(1)
         if tag not in CONSTANT_DIGITS:
             raise ParseError(f"unknown constant tag {tag!r}", m.start(1))
-        digits = int(m.group(2)) if m.group(2) else 20
         try:
-            return DecimalTruncation(tag, digits)
-        except ValueError as exc:  # the digit count is out of range
+            return DecimalTruncation(tag, int(m.group(2)) if m.group(2) else 20)
+        except ValueError as exc:  # the digit count is out of range or past int's limit
             raise ParseError(str(exc), m.start(2)) from None
     p, q = fold(_SequenceParser(src).parse(), _SEQUENCE_RING)
     return RationalFunctionOfN.make(p, q)

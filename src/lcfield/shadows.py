@@ -3,17 +3,17 @@
 Three constructions: the horizontal line as shadow of an oblique line whose
 x-intercept is unlimited; the parabola as shadow of an ellipse whose second
 focus is infinitely distant; and the tangent slope as shadow of a secant
-through two infinitely close points.  The parabola is read from the ellipse's
-polynomial relation by the law of homogeneity, which drops the inassignable
-part of each coefficient; the squaring chain behind that relation is checked
-as an exact polynomial identity, not on a grid.
+through two infinitely close points.  The ellipse is one polynomial relation,
+``CONIC_LHS``: its points solve it as a quadratic in y, the parabola is read from
+it by the law of homogeneity, which drops the inassignable part of each
+coefficient, and the squaring chain behind it is checked as an exact identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable
 
 from .calculus import derivative
@@ -27,7 +27,7 @@ from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact
 
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
-CONIC_LHS_SRC = "(y + 2 + 2/H)^2 - (x^2 + y^2)*(1 + 4/H + 4/H^2)"
+CONIC_LHS_SRC = "(y + 2 + 2/H)^2 - (x^2 + y^2)*(1 + 2/H)^2"
 #: Its syntax tree, parsed once.
 CONIC_LHS = parse(CONIC_LHS_SRC)
 
@@ -119,15 +119,17 @@ def _relation(e: Expr, H: LCNumber, depth: int) -> dict:
         return collect(((i + k, j + l), a * b)
                        for (i, j), a in p.items() for (k, l), b in q.items())
 
+    inverse = cache(lambda c: c.inv(depth))  # a divisor met twice is inverted once
+
     def pow_(base: dict, q: Fraction) -> dict:
         if q.denominator != 1 or q < 0:
             raise InconsistentRelationError(f"relation has the power {q}, not a natural number")
-        return reduce(mul, [base] * q.numerator, {(0, 0): ONE})
+        return reduce(mul, [base] * q.numerator) if q else {(0, 0): ONE}
 
     def div(num: dict, den: dict) -> dict:
         if den.keys() - {(0, 0)}:
             raise InconsistentRelationError("relation divides by a non-constant")
-        return mul(num, {(0, 0): den.get((0, 0), ZERO).inv(depth)})
+        return mul(num, {(0, 0): inverse(den.get((0, 0), ZERO))})
 
     return fold(e, {
         Var: _lookup({"x": {(1, 0): ONE}, "y": {(0, 1): ONE}, "H": {(0, 0): H}}, dict),
@@ -189,18 +191,18 @@ def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:
 def conic_point(
     H: LCNumber, x: Rational, depth: int = DEFAULT_DEPTH
 ) -> LCNumber:
-    """The finite y with (x, y) on the deformed conic, as a truncated series.
+    """The finite y with (x, y) on the deformed conic, as a truncated series: a root
+    of CONIC_LHS read as a quadratic a2*y^2 + a1*y + a0 at this x.
 
     Raises UndecidableError when no root is decidably limited at this depth.
     """
     _require_unlimited(H)
-    x = LCNumber.from_rational(x)
-    Hinv = H.inv(depth)
-    # Quadratic a2*y^2 + a1*y + a0 = 0 from the twice-squared equation.
-    four_terms = Hinv * 4 + Hinv * Hinv * 4
-    a2 = -four_terms
-    a1 = (LCNumber.from_rational(2) + Hinv * 2) * 2
-    a0 = (LCNumber.from_rational(2) + Hinv * 2).pow_int(2) - x * x * (1 + four_terms)
+    x = Fraction(_exact(x))
+    relation = _relation(CONIC_LHS, H, depth)
+    if max((j for _, j in relation), default=0) != 2:
+        raise InconsistentRelationError("conic relation is not quadratic in y")
+    a0, a1, a2 = (sum((c * x**i if i else c for (i, k), c in relation.items() if k == j), ZERO)
+                  for j in range(3))
     disc = a1 * a1 - a2 * a0 * 4
     root = disc.nth_root(2, depth)
     inv_2a2 = (a2 * 2).inv(depth)
@@ -232,13 +234,12 @@ def conic_chain_residuals(
     rad_b = B.nth_root(2, depth)
     rad_ab = (A * B).nth_root(2, depth)
     rhs1 = H + 2
-    residuals = [
+    return [
         rad_a + rad_b - rhs1,
         A + B + rad_ab * 2 - rhs1 * rhs1,
         rad_ab * 2 - (rhs1 * rhs1 - A - B),
         eval_field(CONIC_LHS, {"x": x, "y": y, "H": H}, depth),
     ]
-    return residuals
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,16 @@ class TestExitCodes:
         code, out, err = run(["eval", "(" * 1000 + "x" + ")" * 1000, "--at", "x=1"], capsys)
         assert (code, out, err) == (1, "", "error: expression nested too deeply (at position 100)\n")
 
+    @pytest.mark.parametrize("command", ["eval", "shadow"])
+    def test_literal_past_the_digit_limit_is_1_without_traceback(self, command):
+        # 4,411 digits: past CPython's default limit of 4,300 on int-string conversion.
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcfield.cli", command, "1" * 4411],
+            capture_output=True, text=True, env=_child_env(PYTHONINTMAXSTRDIGITS="4300"), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: number has more than 4300 digits (at position 0)\n"
+
     @pytest.mark.parametrize("argv", [["zoom", "1 + eps"], ["conic"]])
     def test_failed_svg_write_is_1(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "x.svg"
@@ -585,11 +595,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     stages.append(loaded())
     cli.main(["diff", "x^2", "--at", "1"])
     stages.append(loaded())
+    cli.main(["conic"])
+    stages.append(loaded())
 print(json.dumps(stages))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     lazy = {f"lcfield.{name}" for name in ("calculus", "sequences", "shadows", "svg")}
-    after_import, after_eval, after_diff = (set(stage) & lazy for stage in json.loads(proc.stdout))
+    after_import, after_eval, after_diff, after_conic = (
+        set(stage) & lazy for stage in json.loads(proc.stdout)
+    )
     assert (after_import, after_eval, after_diff) == (set(), set(), {"lcfield.calculus"})
+    # conic prints its parabola with number.poly_text, so sequences stays unloaded.
+    assert after_conic == {"lcfield.calculus", "lcfield.shadows", "lcfield.svg"}

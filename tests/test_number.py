@@ -1,13 +1,20 @@
 """Field arithmetic, ordering, truncation, and the reduction operators."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_numbers, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals, rationals
+from conftest import (
+    exact_numbers, exponents, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals,
+    rationals,
+)
+from lcfield import number
 from lcfield.errors import (
     CoercionError,
+    InvalidArgumentError,
     LCError,
     NegativeRootError,
     NotAnNthPowerError,
@@ -18,7 +25,11 @@ from lcfield.errors import (
     ZeroDivisionLCError,
     ZeroInputError,
 )
-from lcfield.number import EPS, ONE, ZERO, Comparison, LCNumber, OrderClass, parse, render
+from lcfield.expr import eval_field
+from lcfield.expr import parse as parse_expr
+from lcfield.number import (
+    EPS, ONE, ZERO, Comparison, LCNumber, OrderClass, parse, poly_text, render
+)
 
 
 def num(s):
@@ -67,6 +78,13 @@ class TestAdd:
         (lambda: EPS.pow_rational(0.5), "expected int or Fraction, got float"),
         (lambda: EPS.pow_int(F(2)), "expected int, got Fraction"),
         (lambda: EPS.nth_root(2.0), "expected int, got float"),
+        # A bool is an int to Python, but never a number here.
+        (lambda: EPS.pow_int(True), "expected int, got bool"),
+        (lambda: EPS.nth_root(True), "expected int, got bool"),
+        (lambda: LCNumber.from_rational(True), "expected int or Fraction, got bool"),
+        (lambda: LCNumber([(0, False)]), "expected int or Fraction, got bool"),
+        (lambda: EPS.pow_rational(True), "expected int or Fraction, got bool"),
+        (lambda: EPS + True, "expected int or Fraction, got bool"),
     ],
 )
 def test_kernel_takes_only_exact_rationals(call, message):
@@ -408,3 +426,165 @@ def test_package_exports_every_error_class():
     assert sorted(classes - set(lcfield.__all__)) == []
     for name in classes:
         assert getattr(lcfield, name) is getattr(errors, name)
+
+
+def test_a_bool_still_compares_equal_as_its_int():
+    assert ONE == True and ZERO == False and EPS != True  # noqa: E712
+
+
+# Every road into the one power kernel, LCNumber.pow_rational, with a depth.
+POWER_CALLS = {
+    "inv": lambda x, depth: x.inv(depth),
+    "nth_root": lambda x, depth: x.nth_root(2, depth),
+    "negative pow_int": lambda x, depth: x.pow_int(-2, depth),
+    "pow_rational": lambda x, depth: x.pow_rational(F(3, 2), depth),
+    "Div": lambda x, depth: eval_field(parse_expr("1/x"), {"x": x}, depth),
+    "Sqrt": lambda x, depth: eval_field(parse_expr("sqrt(x)"), {"x": x}, depth),
+    "rational Pow": lambda x, depth: eval_field(parse_expr("x^(3/2)"), {"x": x}, depth),
+}
+
+
+class TestLibraryDepth:
+    @pytest.mark.parametrize("name", POWER_CALLS)
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (0, "depth must be at least 1, got 0"),
+            (-3, "depth must be at least 1, got -3"),
+            (True, "depth must be an int, got bool"),
+            (2.0, "depth must be an int, got float"),
+            (F(4), "depth must be an int, got Fraction"),
+        ],
+    )
+    def test_refused_before_any_work(self, monkeypatch, name, depth, message):
+        def no_series(*args):
+            raise AssertionError("the power series ran")
+
+        monkeypatch.setattr(number, "_binomial_series", no_series)
+        for x in (parse("4 + eps"), ZERO, parse("O(eps^(2))")):
+            with pytest.raises(InvalidArgumentError) as info:
+                POWER_CALLS[name](x, depth)
+            assert str(info.value) == message
+            assert isinstance(info.value, LCError) and isinstance(info.value, ValueError)
+
+    def test_checked_before_the_exponent(self):
+        with pytest.raises(InvalidArgumentError, match="^depth must be at least 1, got 0$"):
+            EPS.pow_rational(0.5, 0)
+
+    def test_depth_one_is_the_least(self):
+        assert (ONE + EPS).inv(1) == parse("1 + O(eps)")
+
+
+# References: render and poly_text as they were before they shared one signed-sum printer.
+def _ref_render_term(exponent, coeff):
+    mag = abs(coeff)
+    if exponent == 0:
+        return str(mag)
+    if exponent == 1:
+        eps = "eps"
+    else:
+        eps = f"eps^({exponent})"
+    if mag == 1:
+        return eps
+    return f"{mag}*{eps}"
+
+
+def ref_render(a):
+    parts = []
+    for i, (q, c) in enumerate(a.terms):
+        body = _ref_render_term(q, c)
+        if i == 0:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f" {'-' if c < 0 else '+'} {body}")
+    if a.trunc is not None:
+        tail = f"O(eps^({a.trunc}))"
+        parts.append(f" + {tail}" if parts else tail)
+    if not parts:
+        return "0"
+    return "".join(parts)
+
+
+def ref_poly_text(pairs, variable):
+    parts = []
+    for power, c in pairs:
+        if c == 0:
+            continue
+        name = variable if power == 1 else f"{variable}^{power}"
+        body = str(abs(c)) if power == 0 else name if abs(c) == 1 else f"{abs(c)}*{name}"
+        if parts:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
+@st.composite
+def printed_numbers(draw):
+    """Exact or truncated, with terms or without; truncation orders of any sign."""
+    terms = draw(st.lists(st.tuples(exponents, nonzero_rationals), max_size=5,
+                          unique_by=lambda t: t[0]))
+    return LCNumber(terms, draw(st.one_of(st.none(), exponents)))
+
+
+_POLY_PAIRS = st.lists(
+    st.tuples(st.integers(0, 5), st.one_of(st.integers(-3, 3), rationals)), max_size=5
+)
+
+
+class TestSignedSumPrinter:
+    @given(printed_numbers())
+    @example(ZERO)
+    @example(LCNumber([], F(-3, 2)))
+    @example(LCNumber([], 0))
+    @example(parse("-eps^(-1) + 1 + O(eps^(0))"))
+    @example(parse("-1 - eps"))
+    @settings(max_examples=300)
+    def test_render_is_byte_identical(self, a):
+        assert render(a) == ref_render(a) == str(a)
+
+    @given(_POLY_PAIRS, st.sampled_from(["n", "x0"]))
+    @example([], "x0")
+    @example([(2, 0), (1, 0), (0, 0)], "x0")
+    @example([(2, F(-1)), (1, 0), (0, 1)], "x0")
+    @example([(0, -3), (1, 1), (3, F(-1, 2))], "n")
+    @settings(max_examples=300)
+    def test_poly_text_is_byte_identical(self, pairs, variable):
+        assert poly_text(pairs, variable) == ref_poly_text(pairs, variable)
+
+
+class TestDigitLimit:
+    """A literal that Python would refuse to convert is a ParseError at its token."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize(
+        "call, pos",
+        [
+            (lambda: parse("1" * 4301), 0),
+            (lambda: parse("2 + 1/" + "3" * 4301 + "*eps"), 6),
+            (lambda: parse("O(eps^(" + "7" * 4301 + "))"), 7),
+            (lambda: parse_expr("x + " + "9" * 4301), 4),
+            (lambda: parse_expr("1." + "5" * 4301), 0),
+        ],
+    )
+    def test_too_many_digits(self, call, pos):
+        with pytest.raises(ParseError) as info:
+            call()
+        assert str(info.value) == f"number has more than 4300 digits (at position {pos})"
+
+    def test_at_the_limit_and_in_names(self):
+        assert parse("1" * 4300).st() == int("1" * 4300)
+        # Each digit run of a decimal converts on its own.
+        value = eval_field(parse_expr("1" * 4000 + "." + "5" * 4000), {})
+        assert value.st() == int("1" * 4000) + F(int("5" * 4000), 10**4000)
+        assert parse_expr("x" + "1" * 4400).name == "x" + "1" * 4400
+
+    def test_no_limit(self):
+        sys.set_int_max_str_digits(0)
+        assert parse("1" * 4400).st() == int("1" * 4400)

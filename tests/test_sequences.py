@@ -1,11 +1,13 @@
 """The decidable sequence ring and its embedding into the field."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from lcfield.errors import (
+    CoercionError,
     InvalidArgumentError,
     LCError,
     ParseError,
@@ -143,6 +145,23 @@ class TestParsing:
         with pytest.raises(ValueError) as info:
             DecimalTruncation("pi", 0)
         assert isinstance(info.value, InvalidArgumentError) and isinstance(info.value, LCError)
+
+    def test_digit_count_is_an_int_not_a_bool(self):
+        with pytest.raises(CoercionError, match="^expected int, got bool$"):
+            DecimalTruncation("pi", True)
+
+    def test_digits_past_the_int_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError) as count:
+                seq("const:pi:" + "9" * 4400)
+            with pytest.raises(ParseError) as literal:
+                seq("1/" + "7" * 4301)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert count.value.pos == 9 and str(count.value).startswith("Exceeds the limit (4300 ")
+        assert str(literal.value) == "number has more than 4300 digits (at position 2)"
 
 
 class TestRingOps:

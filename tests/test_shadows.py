@@ -318,6 +318,73 @@ class TestConicPoint:
             conic_point(H, 2, depth=1)
 
 
+# Reference: conic_point's quadratic as it was hand-expanded from the twice-squared
+# equation, before the coefficients were read from CONIC_LHS.
+def _reference_conic_point(H, x, depth):
+    shadows._require_unlimited(H)
+    x = LCNumber.from_rational(x)
+    Hinv = H.inv(depth)
+    four_terms = Hinv * 4 + Hinv * Hinv * 4
+    a2 = -four_terms
+    a1 = (LCNumber.from_rational(2) + Hinv * 2) * 2
+    a0 = (LCNumber.from_rational(2) + Hinv * 2).pow_int(2) - x * x * (1 + four_terms)
+    disc = a1 * a1 - a2 * a0 * 4
+    root = disc.nth_root(2, depth)
+    inv_2a2 = (a2 * 2).inv(depth)
+    for y in [(-a1 + root) * inv_2a2, (-a1 - root) * inv_2a2]:
+        try:
+            if y.is_limited():
+                return y
+        except UndecidableError:
+            continue
+    raise UndecidableError(f"no decidably limited intersection found at depth {depth}")
+
+
+@st.composite
+def two_term_H(draw):
+    """H = c*eps^(-k/q) + b, the shape of the mixed-exponents workload's conics."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(1, 2 * q))
+    return LCNumber([(F(-k, q), draw(nonzero_rationals)), (0, draw(rationals))])
+
+
+_THREE_TERM_H = parse_number("3*eps^(-9/11) - 3 - eps^(4/7)")
+# The abscissas of the mixed-exponents workload.
+_X_POOL = [F(v) for v in range(-3, 5)] + [F(1, 2), F(-3, 2), F(5, 2)]
+
+
+class TestConicPointParity:
+    @given(st.one_of(two_term_H(), st.just(_THREE_TERM_H)), st.sampled_from(_X_POOL),
+           st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_same_point_or_error_as_the_hand_expanded_quadratic(self, H, x, depth):
+        got = _outcome(lambda: str(conic_point(H, x, depth)))
+        assert got == _outcome(lambda: str(_reference_conic_point(H, x, depth)))
+
+    def test_fixed_cases(self):
+        for H in UNLIMITEDS + [_THREE_TERM_H]:
+            for depth in (1, 2, 4, 16):
+                for x in _X_POOL:
+                    got = _outcome(lambda: str(conic_point(H, x, depth)))
+                    assert got == _outcome(lambda: str(_reference_conic_point(H, x, depth)))
+
+    def test_point_solves_a_patched_relation(self, monkeypatch):
+        # Another conic through (0, -3/2): a change to CONIC_LHS alone moves the
+        # points, and their shadow is the parabola 6*y + 9 - x^2 = 0.
+        patched = parse("(y + 3 + 3/H)^2 - (x^2 + y^2)*(1 + 3/H)^2")
+        monkeypatch.setattr(shadows, "CONIC_LHS", patched)
+        for H in (default_unlimited(), _THREE_TERM_H * 2):
+            for x in (0, 1, 3, F(-5, 2)):
+                y = conic_point(H, x, 16)
+                assert y.st() == (F(x) ** 2 - 9) / 6
+                residual = eval_field(patched, {"x": x, "y": y, "H": H}, 16)
+                assert not residual.terms and residual.trunc > 0, (H, x, residual)
+
+    def test_depth_below_one_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="^depth must be at least 1, got 0$"):
+            conic_point(default_unlimited(), 1, depth=0)
+
+
 def secant_corpus(count, seed=31):
     rng = random.Random(seed)
     xsym = sp.Symbol("x")

@@ -39,6 +39,10 @@ CASES = [
      InconsistentRelationError, ArithmeticError, "shadow relation does not determine y"),
     (("CONIC_LHS", expr.parse("y - x^3")), lambda: shadows.conic_shadow(_H(), [0, 2, 4]),
      InconsistentRelationError, ArithmeticError, "shadow relation is not a parabola: [(3, 0)]"),
+    (("CONIC_LHS", expr.parse("y^3 + y^2/H - x^2")), lambda: shadows.conic_point(_H(), 1),
+     InconsistentRelationError, ArithmeticError, "conic relation is not quadratic in y"),
+    (("CONIC_LHS", expr.parse("4*y + 4 - x^2")), lambda: shadows.conic_point(_H(), 1),
+     InconsistentRelationError, ArithmeticError, "conic relation is not quadratic in y"),
     (None, lambda: shadows._relation(expr.parse("1/(x + 1)"), _H(), 16),
      InconsistentRelationError, ArithmeticError, "relation divides by a non-constant"),
     (None, lambda: shadows._relation(expr.parse("x^(1/2)"), _H(), 16),
@@ -82,7 +86,8 @@ CASES = [
     # A sequence index is an int: never rounded, never parsed.
     (None, lambda src=src, n=n: sequences.parse_sequence(src).term(n), CoercionError, TypeError,
      f"expected int, got {type(n).__name__}")
-    for src, n in [("1/n", 2.0), ("1/n", Fraction(3, 2)), ("1/n", "3"), ("const:pi:5", 2.0)]
+    for src, n in [("1/n", 2.0), ("1/n", Fraction(3, 2)), ("1/n", "3"), ("const:pi:5", 2.0),
+                   ("1/n", True), ("const:pi:5", True)]
 ]
 
 
