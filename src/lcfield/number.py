@@ -200,18 +200,27 @@ class LCNumber:
         """Exactly zero: no terms and no truncation bound hiding any."""
         return not self.terms and self.trunc is None
 
+    def _lead(self, undecidable: str, known_above: Optional[Rational] = None):
+        """The leading ``(q, c)``, or None for an exact zero, or for a term-less value
+        whose truncation order T exceeds ``known_above``.  Otherwise no known term
+        decides: UndecidableError, with T filled in for ``{T}`` in ``undecidable``."""
+        if self.terms:
+            return self.terms[0]
+        if self.trunc is None or (known_above is not None and self.trunc > known_above):
+            return None
+        raise UndecidableError(undecidable.format(T=self.trunc))
+
     @property
     def leading_exponent(self) -> Fraction:
         """Exponent of the dominant term; 0 for the zero element."""
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[0][0]
+        lead = self._lead("zero up to O(eps^({T})); leading exponent undecidable")
+        return Fraction(0) if lead is None else lead[0]
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[0][1]
+        """Coefficient of the dominant term; 0 for the zero element."""
+        lead = self._lead("zero up to O(eps^({T})); leading coefficient undecidable")
+        return Fraction(0) if lead is None else lead[1]
 
     def coefficient(self, exponent: Rational) -> Fraction:
         q = Fraction(exponent)
@@ -350,16 +359,13 @@ class LCNumber:
             raise InvalidArgumentError(f"depth must be at least 1, got {depth}")
         alpha = Fraction(_exact(alpha))
         p, q = alpha.numerator, alpha.denominator
-        if not self.terms:
-            if self.trunc is None:
-                if p < 0:
-                    raise ZeroDivisionLCError("inverse of zero")
-                return LCNumber()
-            what = "inverse" if p < 0 else "root"
-            raise UndecidableError(
-                f"operand is zero up to O(eps^({abs(p) * self.trunc})); {what} undecidable"
-            )
-        lam, c0 = self.terms[0]
+        what = "inverse" if p < 0 else "root"
+        lead = self._lead("operand is zero up to O(eps^({T})); " + what + " undecidable")
+        if lead is None:
+            if p < 0:
+                raise ZeroDivisionLCError("inverse of zero")
+            return LCNumber()
+        lam, c0 = lead
         r0 = c0**p if q == 1 else rational_nth_root(c0**p, q)
         mu = lam * alpha
         rel_known = None if self.trunc is None else self.trunc - lam
@@ -388,13 +394,10 @@ class LCNumber:
         to a bounded truncation is undecidable.
         """
         d = self - other
-        if d.terms:
-            return Comparison.GT if d.terms[0][1] > 0 else Comparison.LT
-        if d.trunc is None:
+        lead = d._lead("difference is zero up to O(eps^({T})); comparison undecidable")
+        if lead is None:
             return Comparison.EQ
-        raise UndecidableError(
-            f"difference is zero up to O(eps^({d.trunc})); comparison undecidable"
-        )
+        return Comparison.GT if lead[1] > 0 else Comparison.LT
 
     def __lt__(self, other: Scalar) -> bool:
         return self.compare(other) is Comparison.LT
@@ -424,13 +427,11 @@ class LCNumber:
 
         Defined for limited numbers whose truncation order exceeds 0.
         """
-        if self.terms and self.terms[0][0] < 0:
+        lead = self._lead("truncation order {T} <= 0 hides the standard part", 0)
+        q, c = lead or (0, Fraction(0))  # an exact zero, or zero up to a positive order
+        if q < 0:
             raise UnlimitedError("standard part of an unlimited number")
-        if self.trunc is not None and self.trunc <= 0:
-            raise UndecidableError(
-                f"truncation order {self.trunc} <= 0 hides the standard part"
-            )
-        return self.coefficient(0)
+        return c if q == 0 else Fraction(0)
 
     def tlh(self) -> "LCNumber":
         """Keep only the dominant (lowest-exponent) term; discard the rest.
@@ -438,49 +439,30 @@ class LCNumber:
         This is the reduction that turns ``a + dx`` into ``a`` and
         ``dx + ddy`` into ``dx``.
         """
-        if not self.terms:
-            if self.trunc is None:
-                raise ZeroInputError("no dominant term in zero")
-            raise UndecidableError(
-                f"zero up to O(eps^({self.trunc})); dominant term unknown"
-            )
-        return LCNumber([self.terms[0]])
+        lead = self._lead("zero up to O(eps^({T})); dominant term unknown")
+        if lead is None:
+            raise ZeroInputError("no dominant term in zero")
+        return LCNumber._make((lead,), None)
 
     def is_infinitesimal(self) -> bool:
         """True when |self| is smaller than every positive rational (0 included)."""
-        if self.terms:
-            return self.terms[0][0] > 0
-        if self.trunc is None:
-            return True
-        if self.trunc > 0:
-            return True
-        raise UndecidableError(
-            f"zero up to O(eps^({self.trunc})); classification undecidable"
-        )
+        lead = self._lead("zero up to O(eps^({T})); classification undecidable", 0)
+        return lead is None or lead[0] > 0
 
     def is_limited(self) -> bool:
         """True when self has no unlimited (negative-exponent) part."""
-        if self.terms and self.terms[0][0] < 0:
-            return False
-        if self.trunc is not None and self.trunc <= 0:
-            raise UndecidableError(
-                f"terms below eps^(0) may hide behind O(eps^({self.trunc}))"
-            )
-        return True
+        lead = self._lead("terms below eps^(0) may hide behind O(eps^({T}))", 0)
+        return lead is None or lead[0] >= 0
 
     def is_close_to(self, other: Scalar) -> bool:
         """Infinite closeness: the difference is infinitesimal."""
         return (self - other).is_infinitesimal()
 
     def order_class(self) -> OrderClass:
-        if self.terms:
-            q, c = self.terms[0]
-            return OrderClass(q, 1 if c > 0 else -1)
-        if self.trunc is None:
+        lead = self._lead("zero up to O(eps^({T})); order class undecidable")
+        if lead is None:
             return OrderClass(Fraction(0), 0)
-        raise UndecidableError(
-            f"zero up to O(eps^({self.trunc})); order class undecidable"
-        )
+        return OrderClass(lead[0], 1 if lead[1] > 0 else -1)
 
     # -- canonical text form ----------------------------------------------
 

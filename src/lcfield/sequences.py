@@ -101,6 +101,7 @@ class DecimalTruncation:
         available = len(CONSTANT_DIGITS[self.tag].split(".")[1])
         if not 1 <= _exact(self.known_digits, (int,)) <= available:
             raise InvalidArgumentError(f"known_digits must be in 1..{available}")
+        _exact(self.shift)
 
     def term(self, n: int) -> Fraction:
         if not 1 <= _exact(n, (int,)) <= self.known_digits:

@@ -177,6 +177,17 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("x^(-3)", "operand is zero up to O(eps^(2)); inverse undecidable"),
+            ("x^(3/2)", "operand is zero up to O(eps^(2)); root undecidable"),
+        ],
+    )
+    def test_undecidable_power_names_the_operands_order(self, capsys, source, message):
+        code, out, err = run(["eval", source, "--at", "x=O(eps^(2))"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["diff", "x", "--at", "1/0"], "argument --at: invalid rational value: '1/0'"),

@@ -95,14 +95,16 @@ def ref_nth_root(x, n, depth):
 
 
 def ref_pow_int(x, k, depth):
+    """A term-less operand is refused before the power, with its own truncation order."""
     if k < 0:
-        return ref_inv(x.pow_int(-k, depth), depth)
+        return ref_inv(x.pow_int(-k, depth) if x.terms else x, depth)
     return x.pow_int(k, depth)
 
 
 def ref_pow(x, alpha, depth):
-    """Pow lowered to the q-th root of the integer power x^p."""
-    p = ref_pow_int(x, alpha.numerator, depth)
+    """Pow lowered to the q-th root of the integer power x^p; a term-less operand is
+    refused before the power, with its own truncation order."""
+    p = ref_pow_int(x, alpha.numerator if x.terms else (1 if alpha > 0 else -1), depth)
     return p if alpha.denominator == 1 else ref_nth_root(p, alpha.denominator, depth)
 
 
@@ -295,7 +297,7 @@ def fraction_pow_rational(x, alpha, depth):
             return LCNumber()
         what = "inverse" if p < 0 else "root"
         raise UndecidableError(
-            f"operand is zero up to O(eps^({abs(p) * x.trunc})); {what} undecidable"
+            f"operand is zero up to O(eps^({x.trunc})); {what} undecidable"
         )
     lam, c0 = x.terms[0]
     r0 = c0**p if q == 1 else rational_nth_root(c0**p, q)

@@ -588,3 +588,171 @@ class TestDigitLimit:
     def test_no_limit(self):
         sys.set_int_max_str_digits(0)
         assert parse("1" * 4400).st() == int("1" * 4400)
+
+
+# References: the leading-term decisions as they were before `LCNumber._lead`, one body
+# each.  `ref_pow_rational` keeps the old zero-operand check and hands an operand with
+# terms to the kernel, whose series is checked against its own reference in test_kernel.py.
+def ref_compare(a, b):
+    d = a - b
+    if d.terms:
+        return Comparison.GT if d.terms[0][1] > 0 else Comparison.LT
+    if d.trunc is None:
+        return Comparison.EQ
+    raise UndecidableError(f"difference is zero up to O(eps^({d.trunc})); comparison undecidable")
+
+
+def ref_st(a):
+    if a.terms and a.terms[0][0] < 0:
+        raise UnlimitedError("standard part of an unlimited number")
+    if a.trunc is not None and a.trunc <= 0:
+        raise UndecidableError(f"truncation order {a.trunc} <= 0 hides the standard part")
+    return a.coefficient(0)
+
+
+def ref_tlh(a):
+    if not a.terms:
+        if a.trunc is None:
+            raise ZeroInputError("no dominant term in zero")
+        raise UndecidableError(f"zero up to O(eps^({a.trunc})); dominant term unknown")
+    return LCNumber([a.terms[0]])
+
+
+def ref_is_infinitesimal(a):
+    if a.terms:
+        return a.terms[0][0] > 0
+    if a.trunc is None:
+        return True
+    if a.trunc > 0:
+        return True
+    raise UndecidableError(f"zero up to O(eps^({a.trunc})); classification undecidable")
+
+
+def ref_is_limited(a):
+    if a.terms and a.terms[0][0] < 0:
+        return False
+    if a.trunc is not None and a.trunc <= 0:
+        raise UndecidableError(f"terms below eps^(0) may hide behind O(eps^({a.trunc}))")
+    return True
+
+
+def ref_order_class(a):
+    if a.terms:
+        q, c = a.terms[0]
+        return OrderClass(q, 1 if c > 0 else -1)
+    if a.trunc is None:
+        return OrderClass(F(0), 0)
+    raise UndecidableError(f"zero up to O(eps^({a.trunc})); order class undecidable")
+
+
+def ref_pow_rational(a, alpha, depth):
+    p = F(alpha).numerator
+    if not a.terms:
+        if a.trunc is None:
+            if p < 0:
+                raise ZeroDivisionLCError("inverse of zero")
+            return LCNumber()
+        what = "inverse" if p < 0 else "root"
+        raise UndecidableError(
+            f"operand is zero up to O(eps^({abs(p) * a.trunc})); {what} undecidable"
+        )
+    return a.pow_rational(alpha, depth)
+
+
+_PERFECT_POWERS = [F(1), F(-1), F(4), F(-8), F(9, 4), F(1, 64), F(27), F(-3, 5)]
+
+
+@st.composite
+def led_numbers(draw):
+    """Exact zero; term-less O(eps^(T)) with T below, at or above 0; or up to four
+    terms on one lattice 1/2..1/11 from a leading exponent of either sign, with or
+    without an O() tail."""
+    lattice = draw(st.integers(2, 11))
+    q = F(draw(st.integers(-12, 12)), lattice)
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        terms.append((q, draw(st.sampled_from(_PERFECT_POWERS))))
+        q += F(draw(st.integers(1, 6)), lattice)
+    trunc = q if terms else F(draw(st.integers(-12, 12)), lattice)
+    return LCNumber(terms, draw(st.sampled_from([None, trunc])))
+
+
+def _outcome(f):
+    try:
+        return f()
+    except LCError as exc:
+        return type(exc), str(exc)
+
+
+_EXPONENTS = [F(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 7) if F(p, q) != 1]
+
+
+class TestLeadingTermParity:
+    @given(led_numbers(), led_numbers(), st.sampled_from(_EXPONENTS), st.integers(2, 4),
+           st.integers(-3, -1), st.integers(1, 8))
+    @example(ZERO, ZERO, F(-3), 2, -3, 4)
+    @example(LCNumber([], F(-1, 2)), LCNumber([], 0), F(3, 2), 3, -2, 1)
+    @example(LCNumber([], F(2)), ZERO, F(-3), 2, -3, 16)
+    @example(parse("-eps^(-3/7) + 4*eps^(1/7) + O(eps^(2))"), parse("1 + O(eps)"), F(-2, 3),
+             3, -1, 2)
+    @settings(max_examples=400, deadline=None)
+    def test_same_answers_as_the_old_bodies(self, a, b, alpha, n, k, depth):
+        calls = {
+            "compare": (lambda: a.compare(b), lambda: ref_compare(a, b)),
+            "compare int": (lambda: a.compare(2), lambda: ref_compare(a, 2)),
+            "st": (a.st, lambda: ref_st(a)),
+            "tlh": (a.tlh, lambda: ref_tlh(a)),
+            "is_infinitesimal": (a.is_infinitesimal, lambda: ref_is_infinitesimal(a)),
+            "is_limited": (a.is_limited, lambda: ref_is_limited(a)),
+            "is_close_to": (lambda: a.is_close_to(b), lambda: ref_is_infinitesimal(a - b)),
+            "order_class": (a.order_class, lambda: ref_order_class(a)),
+            "inv": (lambda: a.inv(depth), lambda: ref_pow_rational(a, -1, depth)),
+            "nth_root": (lambda: a.nth_root(n, depth),
+                         lambda: ref_pow_rational(a, F(1, n), depth)),
+            "pow_rational": (lambda: a.pow_rational(alpha, depth),
+                             lambda: ref_pow_rational(a, alpha, depth)),
+            "pow_int": (lambda: a.pow_int(k, depth), lambda: ref_pow_rational(a, k, depth)),
+        }
+        exponent = {"pow_rational": alpha, "pow_int": k}
+        for name, (new, ref) in calls.items():
+            got, want = _outcome(new), _outcome(ref)
+            p = F(exponent.get(name, 1)).numerator
+            if abs(p) > 1 and not a.terms and a.trunc is not None:
+                # The one change: the message names the operand's own order, not |p| times it.
+                what = "inverse" if p < 0 else "root"
+                want = (UndecidableError,
+                        f"operand is zero up to O(eps^({a.trunc})); {what} undecidable")
+            assert type(got) is type(want) and got == want, (name, str(a), got, want)
+            if isinstance(got, LCNumber):
+                assert got.terms == want.terms and got.trunc == want.trunc, name
+                assert all(type(v) is F for t in got.terms for v in t), name
+
+    def test_every_leading_term_question_reads_lead(self, monkeypatch):
+        reads = []
+        lead = LCNumber._lead
+        monkeypatch.setattr(
+            LCNumber, "_lead", lambda x, *args: reads.append(args) or lead(x, *args)
+        )
+        x = parse("-2*eps^(-1/2) + 3 + O(eps)")
+        questions = [
+            lambda: x.compare(1), x.st, x.tlh, x.is_infinitesimal, x.is_limited, x.order_class,
+            lambda: x.pow_rational(F(-2, 3)), lambda: x.leading_exponent,
+            lambda: x.leading_coefficient,
+        ]
+        for question in questions:
+            reads.clear()
+            _outcome(question)
+            assert len(reads) == 1
+
+
+class TestLeadingTerm:
+    @pytest.mark.parametrize("name", ["exponent", "coefficient"])
+    @pytest.mark.parametrize("trunc", [F(-3, 2), F(0), F(2)])
+    def test_termless_value_is_undecidable(self, name, trunc):
+        with pytest.raises(UndecidableError) as info:
+            getattr(LCNumber([], trunc), f"leading_{name}")
+        assert str(info.value) == f"zero up to O(eps^({trunc})); leading {name} undecidable"
+
+    def test_exact_zero_keeps_zero(self):
+        assert ZERO.leading_exponent == 0 and ZERO.leading_coefficient == 0
+        assert type(ZERO.leading_exponent) is F and type(ZERO.leading_coefficient) is F

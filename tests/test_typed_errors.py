@@ -81,6 +81,8 @@ CASES = [
         (lambda: calculus.second_differential_check(_X, 1, _T2, 0.1), "float"),
         (lambda: calculus.product_rule_trace(0.1, 1, EPS, EPS), "float"),
         (lambda: calculus.product_rule_trace(1, 0.1, EPS, EPS), "float"),
+        (lambda: sequences.DecimalTruncation("pi", 5, 0.5), "float"),
+        (lambda: sequences.DecimalTruncation("pi", 5, "1/2"), "str"),
     ]
 ] + [
     # A sequence index is an int: never rounded, never parsed.
