@@ -63,7 +63,7 @@ def derivative(
     not depend on the choice.
     """
     h = EPS if increment is None else increment
-    if not h.terms or not h.is_infinitesimal():
+    if not h.has_terms or not h.is_infinitesimal():
         raise NotInfinitesimalError("increment must be a nonzero infinitesimal")
     at_x0, shifted = _progression(f, x0, h, depth, 2)
     pre_shadow = (shifted - at_x0) * h.inv(depth)

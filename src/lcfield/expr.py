@@ -490,6 +490,6 @@ def transfer_check(
 
     report.rational_trials = probe("rational", _random_rational, eval_rational, lambda d: d != 0)
     report.field_trials = probe(
-        "field", random_field_value, lambda e, b: eval_field(e, b, depth), lambda d: bool(d.terms)
+        "field", random_field_value, lambda e, b: eval_field(e, b, depth), lambda d: d.has_terms
     )
     return report

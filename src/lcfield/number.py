@@ -11,6 +11,17 @@ means a *smaller* magnitude: ``eps^2`` is infinitely smaller than ``eps``, and
 rational bound (all exponents ``>= T`` are unknown) or ``None``, meaning the
 stored terms are the whole number.
 
+The stored form is integer data on one lattice (1/D)Z of exponents.  D is
+the least common denominator of the exponents and the truncation order (1
+when there are none).  Each term is a triple ``(e, n, d)`` for
+``(n/d)*eps^(e/D)``, with ``n/d`` reduced and ``d > 0``, ascending in e; the
+truncation order is the integer ``T*D``, or ``None``.  So equal values are
+stored identically.  Arithmetic, comparison and the text form work on this
+form.  Only roots refine D; operands on two lattices meet on their lcm, each
+rescaled by an integer factor.  ``terms`` (``(exponent, coefficient)`` pairs
+of ``Fraction``) and ``trunc`` (a ``Fraction`` or ``None``) are read-only
+views, built on first read.
+
 Values are immutable; every operation returns a fresh canonical value.  All
 arithmetic is exact — there is no floating point anywhere in this module.
 """
@@ -22,7 +33,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -76,12 +87,8 @@ class OrderClass:
         return f"OrderClass(exponent={self.leading_exponent}, sign={self.sign:+d})"
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    n = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(n, a.denominator * b.denominator)
-
-
-def _min_trunc(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _min_trunc(a, b):
+    """The smaller of two truncation orders, where None is no bound."""
     if a is None:
         return b
     if b is None:
@@ -120,26 +127,42 @@ def rational_nth_root(c: Fraction, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _binomial_series(rel: list, alpha: Fraction, n: int) -> list:
-    """Coefficients g_0..g_(n-1) of (1 + u)^alpha, u = sum of a_j * x^j.
+def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
+    """Coefficients g_0..g_(n-1) of g0 * (1 + u)^(p/q), u = sum of a_j * x^j, as
+    reduced ``(numerator, denominator)`` pairs.
 
-    ``rel`` lists the nonzero (j, a_j), j >= 1 ascending.  J.C.P. Miller's
-    recurrence (Knuth, TAOCP Vol. 2, 4.7) costs O(n * len(rel)):
-    g_0 = 1, g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j).
-    Each sum runs on integers over the lcm L of its terms' denominators, so
-    g_k = s / (q*k*L) for alpha = p/q and an integer s: one ``Fraction`` per g_k.
+    ``rel`` lists ``(j, numerator, denominator)`` of each nonzero a_j, j >= 1
+    ascending.  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) costs
+    O(n * len(rel)): g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j).
+    It is linear in g, so the series starts from g_0 = g0 and needs no final
+    scaling.  Each sum runs on integers over the lcm L of its terms'
+    denominators, so g_k = s / (q*k*L) for an integer s.
     """
-    p, q = alpha.numerator, alpha.denominator
-    rel = [(j, a.numerator, a.denominator) for j, a in rel]
-    g = [Fraction(1)]
+    g = [g0]
     for k in range(1, n):
-        used = [(j, a, b, g[k - j]) for j, a, b in rel[: bisect_left(rel, (k + 1,))]]
-        L = lcm(*[b * c.denominator for _, _, b, c in used])
-        # (alpha + 1) * j - k == ((p + q) * j - q * k) / q
-        s = sum(((p + q) * j - q * k) * a * c.numerator * (L // (b * c.denominator))
-                for j, a, b, c in used)
-        g.append(Fraction(s, q * k * L))
+        s, L = 0, 1  # the sum so far is s / L
+        for j, a, b in rel:
+            if j > k:
+                break
+            c, d = g[k - j]
+            # (alpha + 1) * j - k == ((p + q) * j - q * k) / q
+            t, d = ((p + q) * j - q * k) * a * c, b * d
+            if d == L:
+                s += t
+            else:
+                m = lcm(L, d)
+                s, L = s * (m // L) + t * (m // d), m
+        d = q * k * L
+        t = gcd(s, d)
+        g.append((s // t, d // t))
     return g[:n]  # nothing for n < 1
+
+
+def _rescale(ints: tuple, T: Optional[int], s: int) -> tuple:
+    """Terms and truncation order moved to a lattice s times finer."""
+    if s == 1:
+        return ints, T
+    return tuple([(e * s, n, d) for e, n, d in ints]), None if T is None else T * s
 
 
 def _exact(x, kinds: tuple = (int, Fraction)):
@@ -151,9 +174,14 @@ def _exact(x, kinds: tuple = (int, Fraction)):
 
 
 class LCNumber:
-    """A truncated series in the infinitesimal ``eps`` with rational data."""
+    """A truncated series in the infinitesimal ``eps`` with rational data.
 
-    __slots__ = ("terms", "trunc")
+    Stored on the lattice (1/D)Z (see the module docstring): ``_D`` is D,
+    ``_ints`` the ascending ``(e, n, d)`` triples, ``_T`` the truncation order
+    over D or None.  ``_terms`` and ``_trunc`` cache the Fraction views.
+    """
+
+    __slots__ = ("_D", "_ints", "_T", "_terms", "_trunc")
 
     def __new__(
         cls,
@@ -162,51 +190,97 @@ class LCNumber:
     ) -> "LCNumber":
         acc: dict = {}
         for q, c in terms:
-            q = Fraction(_exact(q))
-            acc[q] = acc.get(q, Fraction(0)) + Fraction(_exact(c))
-        return cls._canon(acc.items(), None if trunc is None else Fraction(_exact(trunc)))
+            q, c = _exact(q), _exact(c)
+            acc[q] = acc[q] + c if q in acc else c
+        if trunc is not None:
+            trunc = _exact(trunc)
+        D = lcm(*[q.denominator for q in acc], 1 if trunc is None else trunc.denominator)
+        T = None if trunc is None else trunc.numerator * (D // trunc.denominator)
+        ints = sorted((q.numerator * (D // q.denominator), c.numerator, c.denominator)
+                      for q, c in acc.items() if c)
+        if T is not None:
+            ints = ints[: bisect_left(ints, (T,))]
+        return cls._canon(D, tuple(ints), T)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, terms: tuple, trunc: Optional[Fraction]) -> "LCNumber":
-        """Trusted: ``terms`` are ascending, nonzero ``Fraction`` pairs below ``trunc``."""
+    def _make(cls, D: int, ints: tuple, T: Optional[int]) -> "LCNumber":
+        """Trusted: the stored form as it is, already on its least lattice."""
         # Kernel tuples are built from lists: one built from a generator is resized after
         # allocation, which fills CPython's per-size tuple free lists (~3 MB more peak RSS).
         x = object.__new__(cls)
-        x.terms = terms
-        x.trunc = trunc
+        x._D = D
+        x._ints = ints
+        x._T = T
         return x
 
     @classmethod
-    def _canon(cls, pairs, trunc: Optional[Fraction]) -> "LCNumber":
-        """Trusted: the caller passes distinct ``Fraction`` exponents, ``Fraction`` coefficients
-        and a ``Fraction`` or ``None`` trunc; drops zeros and terms at or above trunc, sorts."""
-        kept = ((q, c) for q, c in pairs if c and (trunc is None or q < trunc))
-        return cls._make(tuple(sorted(kept)), trunc)
+    def _canon(cls, D: int, ints: tuple, T: Optional[int]) -> "LCNumber":
+        """Trusted: ``ints`` are ascending ``(e, n, d)`` triples on (1/D)Z below T, each
+        n/d nonzero and reduced with d > 0; D is reduced to the least common denominator."""
+        if D > 1:
+            g = gcd(D, T or 0, *[t[0] for t in ints])
+            if g > 1:
+                D //= g
+                ints = tuple([(e // g, n, d) for e, n, d in ints])
+                T = None if T is None else T // g
+        return cls._make(D, ints, T)
+
+    @classmethod
+    def _constant(cls, r: Rational) -> "LCNumber":
+        return cls._make(1, ((0, r.numerator, r.denominator),) if r else (), None)
 
     @classmethod
     def from_rational(cls, r: Rational) -> "LCNumber":
-        return cls._canon([(Fraction(0), Fraction(_exact(r)))], None)
+        return cls._constant(_exact(r))
 
     @classmethod
     def monomial(cls, coeff: Rational, exponent: Rational) -> "LCNumber":
         return cls([(exponent, coeff)])
 
+    def __reduce__(self):
+        return LCNumber._make, (self._D, self._ints, self._T)
+
     # -- basic structure ---------------------------------------------------
+
+    @property
+    def terms(self) -> tuple:
+        """The known terms as ascending ``(exponent, coefficient)`` Fraction pairs."""
+        try:
+            return self._terms
+        except AttributeError:
+            D = self._D
+            self._terms = tuple([(Fraction(e, D), Fraction(n, d)) for e, n, d in self._ints])
+            return self._terms
+
+    @property
+    def trunc(self) -> Optional[Fraction]:
+        """The truncation order as a Fraction, or None for a number known exactly."""
+        try:
+            return self._trunc
+        except AttributeError:
+            self._trunc = None if self._T is None else Fraction(self._T, self._D)
+            return self._trunc
+
+    @property
+    def has_terms(self) -> bool:
+        """At least one known term; unlike ``bool(terms)``, builds no view."""
+        return bool(self._ints)
 
     @property
     def is_zero(self) -> bool:
         """Exactly zero: no terms and no truncation bound hiding any."""
-        return not self.terms and self.trunc is None
+        return not self._ints and self._T is None
 
     def _lead(self, undecidable: str, known_above: Optional[Rational] = None):
-        """The leading ``(q, c)``, or None for an exact zero, or for a term-less value
-        whose truncation order T exceeds ``known_above``.  Otherwise no known term
-        decides: UndecidableError, with T filled in for ``{T}`` in ``undecidable``."""
-        if self.terms:
-            return self.terms[0]
-        if self.trunc is None or (known_above is not None and self.trunc > known_above):
+        """The leading term as integers ``(e, n, d)``: exponent e over the lattice
+        denominator, coefficient n/d.  None for an exact zero, or for a term-less
+        value whose truncation order T exceeds ``known_above``.  Otherwise no known
+        term decides: UndecidableError, with T filled in for ``{T}`` in ``undecidable``."""
+        if self._ints:
+            return self._ints[0]
+        if self._T is None or (known_above is not None and self._T > known_above * self._D):
             return None
         raise UndecidableError(undecidable.format(T=self.trunc))
 
@@ -214,19 +288,19 @@ class LCNumber:
     def leading_exponent(self) -> Fraction:
         """Exponent of the dominant term; 0 for the zero element."""
         lead = self._lead("zero up to O(eps^({T})); leading exponent undecidable")
-        return Fraction(0) if lead is None else lead[0]
+        return Fraction(0) if lead is None else Fraction(lead[0], self._D)
 
     @property
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the dominant term; 0 for the zero element."""
         lead = self._lead("zero up to O(eps^({T})); leading coefficient undecidable")
-        return Fraction(0) if lead is None else lead[1]
+        return Fraction(0) if lead is None else Fraction(lead[1], lead[2])
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        q = Fraction(exponent)
-        for e, c in self.terms:
+        q = Fraction(exponent) * self._D
+        for e, n, d in self._ints:
             if e == q:
-                return c
+                return Fraction(n, d)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
@@ -237,30 +311,36 @@ class LCNumber:
 
     def __add__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)
-        trunc = _min_trunc(self.trunc, b.trunc)
-        x, y = self.terms, b.terms
-        if trunc is not None:
-            x, y = x[: bisect_left(x, (trunc,))], y[: bisect_left(y, (trunc,))]
+        D, x, Ta, y, Tb = self._D, self._ints, self._T, b._ints, b._T
+        if b._D != D:
+            L = lcm(D, b._D)
+            (x, Ta), (y, Tb), D = _rescale(x, Ta, L // D), _rescale(y, Tb, L // b._D), L
+        T = _min_trunc(Ta, Tb)
+        if T is not None:
+            x, y = x[: bisect_left(x, (T,))], y[: bisect_left(y, (T,))]
         # One merge of the two ascending term tuples.
         out, i, j = [], 0, 0
         while i < len(x) and j < len(y):
-            (qa, ca), (qb, cb) = x[i], y[j]
-            if qa == qb:
-                if ca + cb:
-                    out.append((qa, ca + cb))
+            a, c = x[i], y[j]
+            if a[0] == c[0]:
+                (_, n, d), (_, m, f) = a, c
+                n, d = (n + m, d) if d == f else (n * f + m * d, d * f)
+                if n:
+                    g = gcd(n, d)
+                    out.append((a[0], n // g, d // g))
                 i, j = i + 1, j + 1
-            elif qa < qb:
-                out.append(x[i])
+            elif a[0] < c[0]:
+                out.append(a)
                 i += 1
             else:
-                out.append(y[j])
+                out.append(c)
                 j += 1
-        return LCNumber._make(tuple(out) + x[i:] + y[j:], trunc)
+        return LCNumber._canon(D, tuple(out) + x[i:] + y[j:], T)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LCNumber":
-        return LCNumber._make(tuple([(q, -c) for q, c in self.terms]), self.trunc)
+        return LCNumber._make(self._D, tuple([(e, -n, d) for e, n, d in self._ints]), self._T)
 
     def __sub__(self, other: Scalar) -> "LCNumber":
         return self + (-self._coerce(other))
@@ -269,29 +349,32 @@ class LCNumber:
         return self._coerce(other) - self
 
     def __mul__(self, other: Scalar) -> "LCNumber":
-        b = self._coerce(other)
-        if self.is_zero or b.is_zero:
-            return LCNumber()
+        a, b = self, self._coerce(other)
+        if a.is_zero or b.is_zero:
+            return LCNumber._make(1, (), None)
+        if len(a._ints) == 1 and a._T is None:
+            a, b = b, a
+        if len(b._ints) == 1 and b._T is None:
+            return a._times_monomial(b)
+        D, x, Ta, y, Tb = a._D, a._ints, a._T, b._ints, b._T
+        if b._D != D:
+            L = lcm(D, b._D)
+            (x, Ta), (y, Tb), D = _rescale(x, Ta, L // D), _rescale(y, Tb, L // b._D), L
         # O(eps^Ta) times a factor whose exponents are all >= lb contributes
         # unknowns from eps^(Ta+lb) on; a term-less factor's lb is its own T.
-        lo_a = self.terms[0][0] if self.terms else self.trunc
-        lo_b = b.terms[0][0] if b.terms else b.trunc
+        lo_a = x[0][0] if x else Ta
+        lo_b = y[0][0] if y else Tb
         bound = None
-        if self.trunc is not None:
-            bound = self.trunc + lo_b
-        if b.trunc is not None:
-            bound = _min_trunc(bound, b.trunc + lo_a)
-        # On integers: exponent q is q*D, D the lcm of all exponent denominators.  A sum's
-        # denominator is the lcm of its own products' ones, not an operand-wide lcm.
-        x, y = self.terms, b.terms
-        D = lcm(*[q.denominator for q, _ in x + y])
-        xs = [(q.numerator * (D // q.denominator), c.numerator, c.denominator) for q, c in x]
-        ys = [(q.numerator * (D // q.denominator), c.numerator, c.denominator) for q, c in y]
-        # For an integer k, k < bound*D iff k < ceil(bound*D); with no bound, both have terms.
-        top = xs[-1][0] + ys[-1][0] + 1 if bound is None else ceil(bound * D)
+        if Ta is not None:
+            bound = Ta + lo_b
+        if Tb is not None:
+            bound = _min_trunc(bound, Tb + lo_a)
+        # With no bound, both factors have terms.
+        top = x[-1][0] + y[-1][0] + 1 if bound is None else bound
+        # A sum's denominator is the lcm of its own products' ones, reduced once at the end.
         prod: dict = {}
-        for e, na, da in xs:
-            for f, nb, db in ys:
+        for e, na, da in x:
+            for f, nb, db in y:
                 k = e + f
                 if k >= top:
                     break
@@ -304,10 +387,32 @@ class LCNumber:
                         m = lcm(t, d)
                         n, d = s * (m // t) + n * (m // d), m
                 prod[k] = n, d
-        terms = [(Fraction(k, D), Fraction(n, d)) for k, (n, d) in sorted(prod.items()) if n]
-        return LCNumber._make(tuple(terms), bound)
+        out = []
+        for k in sorted(prod):
+            n, d = prod[k]
+            if n:
+                g = gcd(n, d)
+                out.append((k, n // g, d // g))
+        return LCNumber._canon(D, tuple(out), bound)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, m: "LCNumber") -> "LCNumber":
+        """self times an exact monomial c*eps^f: each coefficient scaled by c, and the
+        exponents and truncation order shifted by f.  An exact constant (f = 0)
+        leaves the exponents and the lattice as they are."""
+        (f, c, k), D = m._ints[0], self._D
+        out = []
+        for e, n, d in self._ints:
+            n, d = n * c, d * k
+            g = gcd(n, d)
+            out.append((e, n // g, d // g))
+        if not f:
+            return LCNumber._make(D, tuple(out), self._T)
+        L = lcm(D, m._D)
+        (ints, T), f = _rescale(tuple(out), self._T, L // D), f * (L // m._D)
+        ints = tuple([(e + f, n, d) for e, n, d in ints])
+        return LCNumber._canon(L, ints, None if T is None else T + f)
 
     def __truediv__(self, other: Scalar) -> "LCNumber":
         return self * self._coerce(other).inv()
@@ -326,7 +431,7 @@ class LCNumber:
                 result = base if result is None else result * base
             base = base * base if k > 1 else base
             k >>= 1
-        return LCNumber.from_rational(1) if result is None else result
+        return LCNumber._constant(1) if result is None else result
 
     def inv(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """Reciprocal series; see :meth:`pow_rational` for its truncation."""
@@ -350,8 +455,9 @@ class LCNumber:
         truncated after ``depth`` exponent steps beyond the leading exponent
         (a step is the gcd granularity of the operand's exponents), or sooner
         if the operand's own truncation gives out first.  Unlike
-        :meth:`pow_int`, a positive integer alpha is truncated as well.  A depth
-        that is not an ``int`` of at least 1 raises InvalidArgumentError.
+        :meth:`pow_int`, a positive integer alpha is truncated as well.  alpha = 0
+        gives exactly 1 for every operand.  A depth that is not an ``int`` of at
+        least 1 raises InvalidArgumentError.
         """
         if type(depth) is not int:
             raise InvalidArgumentError(f"depth must be an int, got {type(depth).__name__}")
@@ -359,28 +465,36 @@ class LCNumber:
             raise InvalidArgumentError(f"depth must be at least 1, got {depth}")
         alpha = Fraction(_exact(alpha))
         p, q = alpha.numerator, alpha.denominator
+        if not p:
+            return LCNumber._constant(1)
         what = "inverse" if p < 0 else "root"
         lead = self._lead("operand is zero up to O(eps^({T})); " + what + " undecidable")
         if lead is None:
             if p < 0:
                 raise ZeroDivisionLCError("inverse of zero")
-            return LCNumber()
-        lam, c0 = lead
-        r0 = c0**p if q == 1 else rational_nth_root(c0**p, q)
-        mu = lam * alpha
-        rel_known = None if self.trunc is None else self.trunc - lam
-        if len(self.terms) == 1:
-            return LCNumber._canon([(mu, r0)], None if rel_known is None else mu + rel_known)
-        step = self.terms[1][0] - lam
-        for e, _ in self.terms[2:]:
-            step = _frac_gcd(step, e - lam)
-        bound = _min_trunc(depth * step, rel_known)
-        # u = sum a_j * eps^(j*step); the terms at or above the bound never matter.
-        rel = [(int((e - lam) / step), c / c0) for e, c in self.terms[1:] if e - lam < bound]
-        g = _binomial_series(rel, alpha, ceil(bound / step))
-        (m, dm), (s, ds) = mu.as_integer_ratio(), step.as_integer_ratio()  # mu + k*step
-        terms = [(Fraction(m * ds + k * s * dm, dm * ds), r0 * c) for k, c in enumerate(g) if c]
-        return LCNumber._make(tuple(terms), mu + bound)
+            return LCNumber._make(1, (), None)
+        # On the lattice (1/(D*q))Z, the result's leading exponent lam/D * p/q is lam*p.
+        (lam, cn, cd), ints, T = lead, self._ints, self._T
+        c0p = Fraction(cn, cd) ** p
+        r0 = c0p if q == 1 else rational_nth_root(c0p, q)
+        mu, D = lam * p, self._D * q
+        if len(ints) == 1:
+            term = ((mu, r0.numerator, r0.denominator),)
+            return LCNumber._canon(D, term, None if T is None else mu + (T - lam) * q)
+        # Offsets from lam, the step and the bound are on the operand's lattice.
+        step = gcd(*[e - lam for e, _, _ in ints[1:]])
+        bound = depth * step if T is None else min(depth * step, T - lam)
+        # u = sum a_j * eps^(j*step), a_j = c_j / c0; the terms at or above the bound never matter.
+        rel = []
+        for e, n, d in ints[1:]:
+            if e - lam >= bound:
+                break
+            n, d = n * cd, d * cn
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            rel.append(((e - lam) // step, n // g, d // g))
+        series = _binomial_series(rel, p, q, -(-bound // step), (r0.numerator, r0.denominator))
+        out = [(mu + k * step * q, n, d) for k, (n, d) in enumerate(series) if n]
+        return LCNumber._canon(D, tuple(out), mu + bound * q)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)
@@ -412,15 +526,19 @@ class LCNumber:
         return self.compare(other) is not Comparison.LT
 
     def __eq__(self, other) -> bool:
-        # Canonical-form equality: same terms and same truncation order; a bool is its int.
+        # Canonical-form equality: same stored form; a bool is its int.
         if isinstance(other, (int, Fraction)):
-            other = LCNumber.from_rational(Fraction(other))
+            other = LCNumber._constant(other)
         if not isinstance(other, LCNumber):
             return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
+        return self._ints == other._ints and self._T == other._T and self._D == other._D
 
     def __hash__(self) -> int:
-        return hash((self.terms, self.trunc))
+        # An exact constant equals its Fraction, so it hashes as one.
+        x = self._ints
+        if self._T is None and (not x or len(x) == 1 and x[0][0] == 0):
+            return hash(Fraction(x[0][1], x[0][2])) if x else 0
+        return hash((self._D, x, self._T))
 
     def st(self) -> Fraction:
         """Standard part (shadow): the unique rational infinitely close to self.
@@ -428,10 +546,11 @@ class LCNumber:
         Defined for limited numbers whose truncation order exceeds 0.
         """
         lead = self._lead("truncation order {T} <= 0 hides the standard part", 0)
-        q, c = lead or (0, Fraction(0))  # an exact zero, or zero up to a positive order
-        if q < 0:
+        if lead is None or lead[0] > 0:  # zero, up to a positive order or exactly, or infinitesimal
+            return Fraction(0)
+        if lead[0] < 0:
             raise UnlimitedError("standard part of an unlimited number")
-        return c if q == 0 else Fraction(0)
+        return Fraction(lead[1], lead[2])
 
     def tlh(self) -> "LCNumber":
         """Keep only the dominant (lowest-exponent) term; discard the rest.
@@ -442,7 +561,7 @@ class LCNumber:
         lead = self._lead("zero up to O(eps^({T})); dominant term unknown")
         if lead is None:
             raise ZeroInputError("no dominant term in zero")
-        return LCNumber._make((lead,), None)
+        return LCNumber._canon(self._D, (lead,), None)
 
     def is_infinitesimal(self) -> bool:
         """True when |self| is smaller than every positive rational (0 included)."""
@@ -462,7 +581,7 @@ class LCNumber:
         lead = self._lead("zero up to O(eps^({T})); order class undecidable")
         if lead is None:
             return OrderClass(Fraction(0), 0)
-        return OrderClass(lead[0], 1 if lead[1] > 0 else -1)
+        return OrderClass(Fraction(lead[0], self._D), 1 if lead[1] > 0 else -1)
 
     # -- canonical text form ----------------------------------------------
 
@@ -497,18 +616,30 @@ def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
     return "-" + text[3:] if text[:3] == " - " else text[3:] or "0"
 
 
-def _summand(coeff: Rational, name: str) -> tuple[bool, str]:
-    """The summand ``coeff*name`` as a ``(negative, text)`` pair; ``name`` is empty
+def _ratio(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` prints it, for a reduced pair with d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _summand(n: int, d: int, name: str) -> tuple[bool, str]:
+    """The summand ``(n/d)*name`` as a ``(negative, text)`` pair; ``name`` is empty
     for a constant, and a coefficient of magnitude 1 is left out."""
-    mag = abs(coeff)
-    return coeff < 0, str(mag) if not name else name if mag == 1 else f"{mag}*{name}"
+    mag = _ratio(abs(n), d)
+    return n < 0, mag if not name else name if mag == "1" else f"{mag}*{name}"
+
+
+def _over(e: int, D: int) -> str:
+    """e/D as ``str(Fraction(e, D))`` prints it."""
+    g = gcd(e, D)
+    return _ratio(e // g, D // g)
 
 
 def render(a: LCNumber) -> str:
-    summands = [_summand(c, "" if q == 0 else "eps" if q == 1 else f"eps^({q})")
-                for q, c in a.terms]
-    if a.trunc is not None:
-        summands.append((False, f"O(eps^({a.trunc}))"))
+    D = a._D
+    summands = [_summand(n, d, "" if e == 0 else "eps" if e == D else f"eps^({_over(e, D)})")
+                for e, n, d in a._ints]
+    if a._T is not None:
+        summands.append((False, f"O(eps^({_over(a._T, D)}))"))
     return _signed_sum(summands)
 
 
@@ -516,7 +647,8 @@ def poly_text(pairs: Iterable[tuple[Rational, Rational]], variable: str) -> str:
     """A polynomial from ``(power, coefficient)`` pairs in display order, e.g.
     ``1 - 2*n + n^3``; zero coefficients are left out."""
     return _signed_sum(
-        _summand(c, "" if power == 0 else variable if power == 1 else f"{variable}^{power}")
+        _summand(c.numerator, c.denominator,
+                 "" if power == 0 else variable if power == 1 else f"{variable}^{power}")
         for power, c in pairs if c != 0
     )
 

@@ -8,10 +8,11 @@ depth reported).  The integer inner loops of `*`, `+` and the Miller recurrence
 are checked against the Fraction loops they replaced, also kept below.
 """
 
+import pickle
 from fractions import Fraction as F
 from math import ceil, gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Rational
 from sympy.polys.ring_series import rs_nth_root, rs_pow, rs_series_inversion
@@ -19,7 +20,7 @@ from sympy.polys.rings import ring
 
 from lcfield.errors import LCError, UndecidableError, ZeroDivisionLCError
 from lcfield.expr import Pow, Var, eval_field
-from lcfield.number import LCNumber, _frac_gcd, _min_trunc, rational_nth_root
+from lcfield.number import EPS, LCNumber, _min_trunc, rational_nth_root
 
 # ---------------------------------------------------------------------------
 # Reference: sum_k c_k * u^k with every power u^k built by a dict product
@@ -248,6 +249,11 @@ def test_doubling_the_depth_refines(x, alpha, depth):
 # ---------------------------------------------------------------------------
 
 
+def _frac_gcd(a, b):
+    n = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return F(n, a.denominator * b.denominator)
+
+
 def fraction_add(a, b):
     acc = dict(a.terms)
     for q, c in b.terms:
@@ -383,3 +389,78 @@ def test_integer_loops_match_the_fraction_loops(x, y, depth, alpha, k, n):
             _same(got, want)
         except AssertionError as exc:
             raise AssertionError(f"{name}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# The stored form: a lattice denominator D, integer (e, n, d) triples and an
+# integer truncation order, the Fraction views built only when read
+# ---------------------------------------------------------------------------
+
+
+def _stored(x):
+    return x._D, x._ints, x._T
+
+
+def _assert_canonical(r):
+    D, ints, T = _stored(r)
+    assert type(D) is int and D >= 1 and (T is None or type(T) is int), _stored(r)
+    assert all(type(v) is int for t in ints for v in t), ints
+    assert all(a[0] < b[0] for a, b in zip(ints, ints[1:])), ints
+    assert all(n != 0 and d > 0 and gcd(n, d) == 1 for _, n, d in ints), ints
+    assert T is None or all(e < T for e, _, _ in ints), (ints, T)
+    # D is the least common denominator of the exponents and the truncation order.
+    assert gcd(D, T or 0, *[e for e, _, _ in ints]) == 1, _stored(r)
+    rebuilt = LCNumber(r.terms, r.trunc)
+    assert rebuilt == r and _stored(rebuilt) == _stored(r) and hash(rebuilt) == hash(r), str(r)
+
+
+def _all_ops(x, y, depth, alpha, k, n):
+    calls = [lambda: x, lambda: x + y, lambda: x - y, lambda: -x, lambda: x * y, lambda: x * 3,
+             lambda: F(-2, 9) * x, lambda: x * EPS.nth_root(2), lambda: 2 - x,
+             lambda: x.inv(depth), lambda: x.nth_root(n, depth),
+             lambda: x.pow_rational(alpha, depth), lambda: x.pow_int(k, depth), lambda: x.tlh()]
+    return [r for r in map(outcome, calls) if isinstance(r, LCNumber)]
+
+
+@given(wide_operands(), wide_operands(), st.integers(1, 32),
+       st.sampled_from([F(p, q) for p in (-3, -1, 0, 1, 2) for q in (1, 2, 3)]),
+       st.integers(-3, 4), st.sampled_from([2, 3]))
+@settings(max_examples=200, deadline=None)
+@example(LCNumber([(2, 4), (3, 1)]), LCNumber(), 8, F(1, 2), 2, 2)  # a root that coarsens D
+@example(LCNumber([(0, 1), (F(1, 2), 1)]), LCNumber([(F(1, 2), -1)], 3), 8, F(1), 1, 2)
+def test_results_are_stored_canonically(x, y, depth, alpha, k, n):
+    """Equal values are stored identically, so they are equal and hash equal."""
+    for r in _all_ops(x, y, depth, alpha, k, n):
+        _assert_canonical(r)
+
+
+def test_lattice_coarsens_when_the_fine_terms_go():
+    root = LCNumber([(2, 4), (3, 1)]).nth_root(2, 8)  # 2*eps + 1/4*eps^(2) - ... on Z
+    assert root._D == 1 and root == LCNumber(root.terms, root.trunc)
+    total = LCNumber([(0, 1), (F(1, 2), 1)]) + LCNumber([(F(1, 2), -1)], 3)
+    assert _stored(total) == (1, ((0, 1, 1),), 3) and str(total) == "1 + O(eps^(3))"
+    cut = LCNumber([(0, 1), (F(5, 2), 1)]) + LCNumber([], 2)
+    assert _stored(cut) == (1, ((0, 1, 1),), 2)
+
+
+@given(wide_operands(), wide_operands(), st.integers(1, 16))
+@settings(max_examples=100, deadline=None)
+def test_pickle_round_trips_before_and_after_the_view(x, y, depth):
+    for r in _all_ops(x, y, depth, F(-1, 2), 2, 3):
+        before = pickle.loads(pickle.dumps(r))
+        assert _stored(before) == _stored(r) and hash(before) == hash(r)
+        terms, trunc = r.terms, r.trunc  # the views are built and cached now
+        after = pickle.loads(pickle.dumps(r))
+        assert _stored(after) == _stored(r) and after.terms == terms and after.trunc == trunc
+        assert str(before) == str(after) == str(r)
+
+
+@given(wide_operands(), st.sampled_from(_powers + [F(0), F(3), F(-5, 7)]),
+       st.sampled_from([0, 0, F(-3), F(1, 2), F(7, 1000)]))
+@settings(max_examples=200, deadline=None)
+def test_monomial_factor_matches_the_fraction_loop(x, c, q):
+    """An exact monomial factor, a constant included, only scales and shifts."""
+    m = LCNumber([(q, c)])
+    for got, want in ((x * m, fraction_mul(x, m)), (m * x, fraction_mul(m, x))):
+        _same(got, want)
+        _assert_canonical(got)

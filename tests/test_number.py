@@ -299,6 +299,16 @@ class TestRoots:
             LCNumber.from_rational(4).nth_root(n)
         assert isinstance(info.value, LCError) and isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("src", ["0", "O(eps^(2))", "O(eps^(-1))", "2 - eps + O(eps^(3))",
+                                     "eps^(-1/2)"])
+    def test_power_zero_is_exactly_one(self, monkeypatch, src):
+        x = num(src)
+        assert x.pow_int(0) == 1
+        monkeypatch.setattr(LCNumber, "_lead", lambda *args: pytest.fail("_lead was read"))
+        for alpha in (0, F(0), F(0, 7)):
+            got = x.pow_rational(alpha)
+            assert got == 1 and got.trunc is None and str(got) == "1"
+
     @given(nonzero_numbers, nonzero_rationals)
     @settings(max_examples=200)
     def test_square_root_squares_back(self, a, c):
@@ -353,6 +363,41 @@ class TestCanonicalText:
     def test_examples(self):
         assert render(num("3+2*eps-eps^2")) == "3 + 2*eps - eps^(2)"
         assert render(num("-1/2 * eps^(-3/2)")) == "-1/2*eps^(-3/2)"
+
+
+class TestHash:
+    """Equal objects hash equal: an exact constant equals its Fraction."""
+
+    def test_one_is_one(self):
+        assert ONE == 1 and hash(ONE) == hash(1)
+        assert {1, ONE} == {1} and len({1, ONE}) == 1 and 1 in {ONE}
+
+    def test_zero_hashes_as_zero(self):
+        assert hash(ZERO) == 0 == hash(F(0)) and ZERO in {0}
+
+    @given(rationals)
+    def test_exact_constants_hash_as_their_fraction(self, r):
+        assert LCNumber.from_rational(r) == r
+        assert hash(LCNumber.from_rational(r)) == hash(r)
+
+    def test_other_equalities_stay(self):
+        assert num("1 + O(eps)") != 1 and EPS != 1 and num("eps^(0) + eps") != 1
+        assert LCNumber.from_rational(F(2, 3)) != F(3, 2)
+        # The same integer data on two lattices: eps^(1/2) against eps, and two orders.
+        assert EPS.nth_root(2) != EPS and num("2 + O(eps^(1/3))") != num("2 + O(eps)")
+
+    def test_two_lattice_histories(self):
+        # eps^(1/2) lives on (1/2)Z; its square is back on Z, stored as EPS is.
+        square = EPS.nth_root(2).pow_int(2)
+        assert square == EPS and hash(square) == hash(EPS)
+        assert len({square, EPS}) == 1
+        coarse = (num("1 + eps^(1/2)") - num("eps^(1/2)")) * EPS
+        assert coarse == EPS and hash(coarse) == hash(EPS)
+
+    @given(exact_numbers, exact_numbers)
+    def test_equal_values_hash_equal(self, a, b):
+        total = (a + b) - b
+        assert total == a and hash(total) == hash(a)
 
 
 # (input, message, pos): every ParseError raise site of the number grammar.
