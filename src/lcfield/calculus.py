@@ -121,9 +121,9 @@ def product_rule_trace(
     kept = dv * u0 + du * v0
     discarded = du * dv
     # The rejected term must be of strictly higher order than every kept one.
-    if u0 != 0 and v0 != 0 and discarded.terms:
+    if u0 != 0 and v0 != 0 and discarded.has_terms:
         for part in (dv * u0, du * v0):
-            if part.terms:
+            if part.has_terms:
                 assert discarded.leading_exponent > part.leading_exponent
     return ProductRuleTrace(u0, v0, du, dv, expansion, kept, discarded)
 

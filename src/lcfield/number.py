@@ -352,10 +352,16 @@ class LCNumber:
         a, b = self, self._coerce(other)
         if a.is_zero or b.is_zero:
             return LCNumber._make(1, (), None)
-        if len(a._ints) == 1 and a._T is None:
+        # An exact constant factor only scales the coefficients.
+        if a._T is None and len(a._ints) == 1 and not a._ints[0][0]:
             a, b = b, a
-        if len(b._ints) == 1 and b._T is None:
-            return a._times_monomial(b)
+        if b._T is None and len(b._ints) == 1 and not b._ints[0][0]:
+            (_, c, k), out = b._ints[0], []
+            for e, n, d in a._ints:
+                n, d = n * c, d * k
+                g = gcd(n, d)
+                out.append((e, n // g, d // g))
+            return LCNumber._make(a._D, tuple(out), a._T)
         D, x, Ta, y, Tb = a._D, a._ints, a._T, b._ints, b._T
         if b._D != D:
             L = lcm(D, b._D)
@@ -396,23 +402,6 @@ class LCNumber:
         return LCNumber._canon(D, tuple(out), bound)
 
     __rmul__ = __mul__
-
-    def _times_monomial(self, m: "LCNumber") -> "LCNumber":
-        """self times an exact monomial c*eps^f: each coefficient scaled by c, and the
-        exponents and truncation order shifted by f.  An exact constant (f = 0)
-        leaves the exponents and the lattice as they are."""
-        (f, c, k), D = m._ints[0], self._D
-        out = []
-        for e, n, d in self._ints:
-            n, d = n * c, d * k
-            g = gcd(n, d)
-            out.append((e, n // g, d // g))
-        if not f:
-            return LCNumber._make(D, tuple(out), self._T)
-        L = lcm(D, m._D)
-        (ints, T), f = _rescale(tuple(out), self._T, L // D), f * (L // m._D)
-        ints = tuple([(e + f, n, d) for e, n, d in ints])
-        return LCNumber._canon(L, ints, None if T is None else T + f)
 
     def __truediv__(self, other: Scalar) -> "LCNumber":
         return self * self._coerce(other).inv()

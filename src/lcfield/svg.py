@@ -122,7 +122,7 @@ def zoom_svg(value: LCNumber) -> str:
     # Left pane: the standard scale; the whole monad sits on one point.
     pane(60.0, mid - 40, "standard scale", [(0.0, str(st))])
     # Right pane: one eps-scale step; plot the leading infinitesimal term.
-    if residual.terms:
+    if residual.has_terms:
         q, c = residual.terms[0]
         label = str(residual)
         pos = _float(c, 2)

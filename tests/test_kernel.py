@@ -459,7 +459,7 @@ def test_pickle_round_trips_before_and_after_the_view(x, y, depth):
        st.sampled_from([0, 0, F(-3), F(1, 2), F(7, 1000)]))
 @settings(max_examples=200, deadline=None)
 def test_monomial_factor_matches_the_fraction_loop(x, c, q):
-    """An exact monomial factor, a constant included, only scales and shifts."""
+    """A one-term exact factor, a constant included, gives the Fraction loop's product."""
     m = LCNumber([(q, c)])
     for got, want in ((x * m, fraction_mul(x, m)), (m * x, fraction_mul(m, x))):
         _same(got, want)
