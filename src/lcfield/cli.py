@@ -6,8 +6,9 @@ literal), ``tlh`` (dominant-term reduction), ``conic`` (shadow parabola of
 the deformed ellipse), ``seq`` (sequence decomposition and embedding), and
 ``zoom`` (two-pane SVG around a point).
 
-Output is deterministic: identical argv yields byte-identical stdout.  Exit
-codes: 0 success, 1 evaluation error, 2 usage error.
+Output is deterministic: identical argv yields byte-identical stdout, every
+number printed exactly by ``lcfield.number``.  Exit codes: 0 success, 1 an
+``LCError`` (a number past the digit limit too) or ``OSError``, 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from .errors import LCError
 from .expr import eval_field, parse as parse_expr
-from .number import DEFAULT_DEPTH, LCNumber, poly_text
+from .number import DEFAULT_DEPTH, LCNumber, poly_text, rational_text
 from .number import parse as parse_number
 
 
@@ -94,16 +95,17 @@ def _cmd_diff(args, depth: int) -> tuple[dict, list[str]]:
     from . import calculus
     expr = parse_expr(args.expression)
     result = calculus.derivative(expr, args.at, depth)
+    derivative = rational_text(result.derivative_value)
     return (
-        {"derivative": str(result.derivative_value), "pre_shadow": str(result.pre_shadow)},
-        [str(result.derivative_value), f"pre_shadow = {result.pre_shadow}"],
+        {"derivative": derivative, "pre_shadow": str(result.pre_shadow)},
+        [derivative, f"pre_shadow = {result.pre_shadow}"],
     )
 
 
 def _cmd_shadow(args, depth: int) -> tuple[dict, list[str]]:
     value = parse_number(args.number)
-    st = value.st()
-    return {"input": str(value), "standard_part": str(st)}, [str(st)]
+    st = rational_text(value.st())
+    return {"input": str(value), "standard_part": st}, [st]
 
 
 def _cmd_tlh(args, depth: int) -> tuple[dict, list[str]]:
@@ -116,13 +118,13 @@ def _cmd_conic(args, depth: int) -> tuple[dict, list[str]]:
     from . import shadows, svg
     state = shadows.conic_shadow(shadows.default_unlimited(), args.samples, depth)
     equation = f"y0 = {poly_text(zip((2, 1, 0), state.shadow_coeffs), 'x0')}"
-    points_text = " ".join(f"({x},{y})" for x, y in state.points)
+    points = [(rational_text(x), rational_text(y)) for x, y in state.points]
     result = {
-        "coefficients": {k: str(c) for k, c in zip("ABC", state.shadow_coeffs)},
+        "coefficients": {k: rational_text(c) for k, c in zip("ABC", state.shadow_coeffs)},
         "equation": equation,
-        "points": [{"x": str(x), "y": str(y)} for x, y in state.points],
+        "points": [{"x": x, "y": y} for x, y in points],
     }
-    lines = [f"{equation}; points: {points_text}"]
+    lines = [f"{equation}; points: {' '.join(f'({x},{y})' for x, y in points)}"]
     if args.svg:
         markup = svg.parabola_svg(state.shadow_coeffs, state.points)
         lines.append(_write_svg(args.svg, markup, result))
@@ -136,17 +138,19 @@ def _cmd_seq(args, depth: int) -> tuple[dict, list[str]]:
     from . import sequences
     seq = sequences.parse_sequence(args.sequence)
     decomposition = sequences.decompose(seq)
+    st = decomposition.standard_part  # a constant's label, or a rational
+    st = st if isinstance(st, str) else rational_text(st)
     result = {
         "sequence": str(seq),
         "kind": type(seq).__name__,
         "decomposition": {
-            "standard_part": str(decomposition.standard_part),
+            "standard_part": st,
             "residue_sign": _SIGN_NAMES[decomposition.residue_sign],
         },
     }
     lines = [
         f"sequence: {seq}",
-        f"standard part: {decomposition.standard_part}",
+        f"standard part: {st}",
         f"residue sign: {_SIGN_NAMES[decomposition.residue_sign]}",
     ]
     if isinstance(seq, sequences.RationalFunctionOfN):
@@ -160,7 +164,7 @@ def _cmd_zoom(args, depth: int) -> tuple[dict, list[str]]:
     from . import svg
     value = parse_number(args.number)
     markup = svg.zoom_svg(value)
-    result = {"input": str(value), "standard_part": str(value.st())}
+    result = {"input": str(value), "standard_part": rational_text(value.st())}
     if args.svg:
         return result, [_write_svg(args.svg, markup, result)]
     return result, [markup.rstrip("\n")]
@@ -230,7 +234,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     depth = args.depth if args.depth is not None else _default_depth()
     try:
         result, lines = args.handler(args, depth)
-    except (LCError, ValueError, ArithmeticError, OSError) as exc:
+    except (LCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     envelope = {"command": args.command, "depth": depth, "result": result}

@@ -42,7 +42,7 @@ from .errors import (
     UndecidableError,
     ZeroDivisionLCError,
 )
-from .number import DEFAULT_DEPTH, LCNumber, _Cursor, _exact, rational_nth_root
+from .number import DEFAULT_DEPTH, LCNumber, _Cursor, _exact, rational_nth_root, rational_text
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +82,22 @@ class Node:
 _REPR: dict = {}  # each node type to a rule that prints the text a dataclass would
 
 
+def _checked(node):
+    """``node`` if it is a syntax-tree node; anything else cannot be walked."""
+    if not isinstance(node, Node):
+        raise CoercionError(f"not an expression node: {node!r}")
+    return node
+
+
 def _node(name: str, operands: tuple, data: Optional[str]) -> type:
     """The node type ``name`` with the given operand fields and data field."""
     fields = operands + ((data,) if data else ())
     cls = type(name, (Node,), {"__slots__": fields, "OPERANDS": operands, "DATA": data})
     # The slots' own setters pass Node.__setattr__ by, at a dataclass __init__'s cost.
-    set0, set1 = [cls.__dict__[f].__set__ for f in fields] + [None] * (2 - len(fields))
+    setters = [cls.__dict__[f].__set__ for f in fields]
+    for i, set_ in enumerate(setters[: len(operands)]):  # an operand must be a node
+        setters[i] = lambda self, node, set_=set_: set_(self, _checked(node))
+    set0, set1 = setters + [None] * (2 - len(fields))
     if set1 is None:
         def __init__(self, a):
             set0(self, a)
@@ -115,16 +125,12 @@ def _preorder(e: Expr) -> list:
     """The ``(type, data)`` pair of every node of ``e``, each before its operands,
     the last operand's subtree first: reversed, it is the left-to-right postorder.
     A loop over an explicit stack stands in for recursion, so no tree is too deep."""
-    pairs, stack = [], [e]
+    pairs, stack = [], [_checked(e)]
     while stack:
         node = stack.pop()
         cls = type(node)
-        try:
-            operands, data = cls.OPERANDS, cls.DATA
-        except AttributeError:
-            raise CoercionError(f"not an expression node: {node!r}") from None
-        pairs.append((cls, data and getattr(node, data)))
-        for name in operands:
+        pairs.append((cls, cls.DATA and getattr(node, cls.DATA)))
+        for name in cls.OPERANDS:
             stack.append(getattr(node, name))
     return pairs
 
@@ -294,24 +300,20 @@ def _decimal_str(value: Fraction) -> Optional[str]:
         return None
     k = max(twos, fives)
     scaled = value.numerator * 10**k // value.denominator
-    digits = str(scaled).rjust(k + 1, "0")
+    digits = rational_text(scaled).rjust(k + 1, "0")
     if k == 0:
         return digits
     return f"{digits[:-k]}.{digits[-k:]}"
 
 
 def _render_exponent(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q)
-    if q < 0:
-        return f"(-{-q.numerator}/{q.denominator})"
-    return f"({q.numerator}/{q.denominator})"
+    return rational_text(q) if q.denominator == 1 else f"({rational_text(q)})"
 
 
 def _render_literal(value: Fraction) -> str:
     mag = abs(value)
     dec = _decimal_str(mag)
-    text = dec if dec is not None else f"({mag.numerator}/{mag.denominator})"
+    text = dec if dec is not None else f"({rational_text(mag)})"
     return f"(-{text})" if value < 0 else text
 
 
@@ -387,7 +389,8 @@ def _rational_sqrt(value: Fraction) -> Fraction:
     try:
         return rational_nth_root(value, 2)
     except NotAnNthPowerError:
-        raise NotAPerfectSquareError(f"{value} is not a perfect rational square") from None
+        text = rational_text(value)
+        raise NotAPerfectSquareError(f"{text} is not a perfect rational square") from None
 
 
 _RATIONAL = {
@@ -476,7 +479,7 @@ def transfer_check(
             binding = {name: draw(rng) for name in names}
             try:
                 diff = evaluate(lhs, binding) - evaluate(rhs, binding)
-                failure = (kind, f"difference {diff}") if differs(diff) else None
+                failure = (kind, f"difference {LCNumber._coerce(diff)}") if differs(diff) else None
             except UndecidableError as exc:
                 failure = ("undecidable", str(exc))
             except (ZeroDivisionLCError, NotAnNthPowerError):

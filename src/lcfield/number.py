@@ -84,7 +84,7 @@ class OrderClass:
         return hash((self.leading_exponent, self.sign))
 
     def __repr__(self) -> str:
-        return f"OrderClass(exponent={self.leading_exponent}, sign={self.sign:+d})"
+        return f"OrderClass(exponent={rational_text(self.leading_exponent)}, sign={self.sign:+d})"
 
 
 def _min_trunc(a, b):
@@ -118,12 +118,12 @@ def rational_nth_root(c: Fraction, n: int) -> Fraction:
     """Exact rational n-th root of c, or raise."""
     if c < 0:
         if n % 2 == 0:
-            raise NegativeRootError(f"even root of negative coefficient {c}")
+            raise NegativeRootError(f"even root of negative coefficient {rational_text(c)}")
         return -rational_nth_root(-c, n)
     num = _int_nth_root(c.numerator, n)
     den = _int_nth_root(c.denominator, n)
     if num is None or den is None:
-        raise NotAnNthPowerError(f"{c} has no rational {n}-th root")
+        raise NotAnNthPowerError(f"{rational_text(c)} has no rational {rational_text(n)}-th root")
     return Fraction(num, den)
 
 
@@ -282,7 +282,7 @@ class LCNumber:
             return self._ints[0]
         if self._T is None or (known_above is not None and self._T > known_above * self._D):
             return None
-        raise UndecidableError(undecidable.format(T=self.trunc))
+        raise UndecidableError(undecidable.format(T=rational_text(self.trunc)))
 
     @property
     def leading_exponent(self) -> Fraction:
@@ -297,7 +297,7 @@ class LCNumber:
         return Fraction(0) if lead is None else Fraction(lead[1], lead[2])
 
     def coefficient(self, exponent: Rational) -> Fraction:
-        q = Fraction(exponent) * self._D
+        q = _exact(exponent) * self._D
         for e, n, d in self._ints:
             if e == q:
                 return Fraction(n, d)
@@ -451,7 +451,7 @@ class LCNumber:
         if type(depth) is not int:
             raise InvalidArgumentError(f"depth must be an int, got {type(depth).__name__}")
         if depth < 1:
-            raise InvalidArgumentError(f"depth must be at least 1, got {depth}")
+            raise InvalidArgumentError(f"depth must be at least 1, got {rational_text(depth)}")
         alpha = Fraction(_exact(alpha))
         p, q = alpha.numerator, alpha.denominator
         if not p:
@@ -606,8 +606,17 @@ def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
 
 
 def _ratio(n: int, d: int) -> str:
-    """n/d as ``str(Fraction(n, d))`` prints it, for a reduced pair with d > 0."""
-    return str(n) if d == 1 else f"{n}/{d}"
+    """n/d as ``str(Fraction(n, d))`` prints it, for a reduced pair with d > 0.  The one place
+    an int becomes text: past the digit limit, InvalidArgumentError with CPython's message."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError as exc:
+        raise InvalidArgumentError(str(exc)) from None
+
+
+def rational_text(r: Rational) -> str:
+    """``str(r)`` of an int or Fraction, through :func:`_ratio`."""
+    return _ratio(r.numerator, r.denominator)
 
 
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:
@@ -636,8 +645,8 @@ def poly_text(pairs: Iterable[tuple[Rational, Rational]], variable: str) -> str:
     """A polynomial from ``(power, coefficient)`` pairs in display order, e.g.
     ``1 - 2*n + n^3``; zero coefficients are left out."""
     return _signed_sum(
-        _summand(c.numerator, c.denominator,
-                 "" if power == 0 else variable if power == 1 else f"{variable}^{power}")
+        _summand(c.numerator, c.denominator, "" if power == 0 else variable if power == 1
+                 else f"{variable}^{rational_text(power)}")
         for power, c in pairs if c != 0
     )
 

@@ -26,7 +26,7 @@ from .errors import (
     ZeroDivisionLCError,
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
-from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text
+from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text, rational_text
 
 #: Leading decimal digits of the supported declared constants.
 CONSTANT_DIGITS = {
@@ -79,7 +79,7 @@ class RationalFunctionOfN:
         """p(n)/q(n); UndefinedTermError for n < 1 and where q(n) = 0."""
         q = _at(self.q, _exact(n, (int,)))
         if n < 1 or q == 0:
-            raise UndefinedTermError(f"sequence undefined at index {n}")
+            raise UndefinedTermError(f"sequence undefined at index {rational_text(n)}")
         return _at(self.p, n) / q
 
     def __str__(self) -> str:
@@ -114,7 +114,7 @@ class DecimalTruncation:
         if self.shift == 0:
             return self.tag
         sign = "+" if self.shift > 0 else "-"
-        return f"{self.tag} {sign} {abs(self.shift)}"
+        return f"{self.tag} {sign} {rational_text(abs(self.shift))}"
 
     def __str__(self) -> str:
         return f"const:{self.constant_label}:{self.known_digits}"

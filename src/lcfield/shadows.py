@@ -23,7 +23,7 @@ from .errors import (
 from .expr import (
     Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var, _lookup, eval_field, fold, parse
 )
-from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact
+from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact, rational_text
 
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
@@ -123,7 +123,8 @@ def _relation(e: Expr, H: LCNumber, depth: int) -> dict:
 
     def pow_(base: dict, q: Fraction) -> dict:
         if q.denominator != 1 or q < 0:
-            raise InconsistentRelationError(f"relation has the power {q}, not a natural number")
+            text = rational_text(q)
+            raise InconsistentRelationError(f"relation has the power {text}, not a natural number")
         return reduce(mul, [base] * q.numerator) if q else {(0, 0): ONE}
 
     def div(num: dict, den: dict) -> dict:

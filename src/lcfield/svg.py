@@ -1,7 +1,8 @@
 """Static SVG plots for the CLI.
 
-Output is SVG 1.1 with a fixed 640x480 viewBox and deterministic
-formatting: the same input always yields byte-identical markup.
+Output is SVG 1.1 with a fixed 640x480 viewBox.  Panes are mapped in exact
+rationals and coordinates rounded half to even at two decimals, with no float:
+the same input always yields byte-identical markup.
 """
 
 from __future__ import annotations
@@ -9,33 +10,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .number import LCNumber
+from .number import LCNumber, Rational, rational_text
 
 WIDTH = 640
 HEIGHT = 480
 
 _HEADER = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
+    f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
 )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v: Rational) -> str:
+    """v rounded half to even at two decimals, signed if v < 0 (-1/1000 is -0.00, as ``.2f``)."""
+    digits = rational_text(round(abs(v) * 100)).rjust(3, "0")
+    return f"{'-' if v < 0 else ''}{digits[:-2]}.{digits[-2:]}"
 
 
-def _float(v: Fraction, bound: int = 10**12) -> float:
-    """v clamped to [-bound, bound], then converted: an exact value can exceed float range."""
-    return float(max(-bound, min(bound, v)))
+def _clamp(v: Rational, bound: int = 10**12) -> Rational:
+    """v clamped to [-bound, bound], so that a far-off value is drawn at a bounded place."""
+    return max(-bound, min(bound, v))
 
 
-def _map_x(x: float, lo: float, hi: float, left: float, right: float) -> float:
-    return left + (x - lo) / (hi - lo) * (right - left)
-
-
-def _map_y(y: float, lo: float, hi: float) -> float:
-    # SVG y grows downward.
-    return HEIGHT - 40 - (y - lo) / (hi - lo) * (HEIGHT - 80)
+def _map(v: Rational, lo: int, hi: int, start: int, end: int) -> Fraction:
+    """The pixel of v when [lo, hi] spans the pixels from start to end."""
+    return start + Fraction(v - lo, hi - lo) * (end - start)
 
 
 def parabola_svg(
@@ -43,13 +43,15 @@ def parabola_svg(
     points: Sequence[tuple[Fraction, Fraction]],
 ) -> str:
     """Shadow parabola y = A*x^2 + B*x + C with the sampled shadow points."""
-    A, B, C = (_float(c) for c in coeffs)
-    xlo, xhi, ylo, yhi = -6.0, 6.0, -2.0, 10.0
+    A, B, C = (_clamp(c) for c in coeffs)
+
+    def pixel(x: Rational, y: Rational) -> tuple[Fraction, Fraction]:
+        # [-6, 6] x [-2, 10] on the pane inside a 40-pixel margin; SVG y grows downward.
+        return _map(x, -6, 6, 40, WIDTH - 40), _map(y, -2, 10, HEIGHT - 40, 40)
+
     parts = [_HEADER]
-    parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     # Axes.
-    x_axis_y = _map_y(0.0, ylo, yhi)
-    y_axis_x = _map_x(0.0, xlo, xhi, 40, WIDTH - 40)
+    y_axis_x, x_axis_y = pixel(0, 0)
     parts.append(
         f'<line x1="40" y1="{_fmt(x_axis_y)}" x2="{WIDTH - 40}" y2="{_fmt(x_axis_y)}" '
         'stroke="#888" stroke-width="1"/>'
@@ -58,29 +60,22 @@ def parabola_svg(
         f'<line x1="{_fmt(y_axis_x)}" y1="40" x2="{_fmt(y_axis_x)}" y2="{HEIGHT - 40}" '
         'stroke="#888" stroke-width="1"/>'
     )
-    # Parabola polyline.
+    # Parabola polyline: 96 steps of 1/8 across [-6, 6].
     samples = []
-    steps = 96
-    for i in range(steps + 1):
-        x = xlo + (xhi - xlo) * i / steps
-        y = A * x * x + B * x + C
-        samples.append(
-            f"{_fmt(_map_x(x, xlo, xhi, 40, WIDTH - 40))},{_fmt(_map_y(y, ylo, yhi))}"
-        )
+    for x in (Fraction(i - 48, 8) for i in range(97)):
+        px, py = pixel(x, A * x * x + B * x + C)
+        samples.append(f"{_fmt(px)},{_fmt(py)}")
     parts.append(
         f'<polyline points="{" ".join(samples)}" fill="none" stroke="#1f77b4" '
         'stroke-width="2"/>'
     )
     # Sample points.
     for x, y in points:
-        cx = _map_x(_float(x), xlo, xhi, 40, WIDTH - 40)
-        cy = _map_y(_float(y), ylo, yhi)
-        parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="#d62728"/>'
-        )
+        cx, cy = pixel(_clamp(x), _clamp(y))
+        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="#d62728"/>')
         parts.append(
             f'<text x="{_fmt(cx + 8)}" y="{_fmt(cy - 8)}" font-size="14" '
-            f'font-family="monospace">({x},{y})</text>'
+            f'font-family="monospace">({rational_text(x)},{rational_text(y)})</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -91,44 +86,36 @@ def zoom_svg(value: LCNumber) -> str:
     value's standard part where its infinitesimal part becomes visible."""
     st = value.st()
     residual = value - st
-    mid = WIDTH / 2
+    mid = WIDTH // 2
     parts = [_HEADER]
-    parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     parts.append(
         f'<line x1="{_fmt(mid)}" y1="20" x2="{_fmt(mid)}" y2="{HEIGHT - 20}" '
         'stroke="#ccc" stroke-width="1"/>'
     )
-    mid_y = HEIGHT / 2
+    mid_y = HEIGHT // 2
 
-    def pane(left: float, right: float, title: str, marks: list[tuple[float, str]]) -> None:
+    def pane(left: int, right: int, title: str, pos: Rational, label: str) -> None:
         parts.append(
-            f'<text x="{_fmt((left + right) / 2)}" y="60" text-anchor="middle" '
+            f'<text x="{_fmt(Fraction(left + right, 2))}" y="60" text-anchor="middle" '
             f'font-size="16" font-family="monospace">{title}</text>'
         )
         parts.append(
             f'<line x1="{_fmt(left)}" y1="{_fmt(mid_y)}" x2="{_fmt(right)}" '
             f'y2="{_fmt(mid_y)}" stroke="#333" stroke-width="2"/>'
         )
-        for pos, label in marks:
-            cx = _map_x(pos, -2.0, 2.0, left, right)
-            parts.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(mid_y)}" r="5" fill="#d62728"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(mid_y + 28)}" text-anchor="middle" '
-                f'font-size="14" font-family="monospace">{label}</text>'
-            )
+        cx = _map(pos, -2, 2, left, right)
+        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(mid_y)}" r="5" fill="#d62728"/>')
+        parts.append(
+            f'<text x="{_fmt(cx)}" y="{_fmt(mid_y + 28)}" text-anchor="middle" '
+            f'font-size="14" font-family="monospace">{label}</text>'
+        )
 
     # Left pane: the standard scale; the whole monad sits on one point.
-    pane(60.0, mid - 40, "standard scale", [(0.0, str(st))])
+    pane(60, mid - 40, "standard scale", 0, rational_text(st))
     # Right pane: one eps-scale step; plot the leading infinitesimal term.
+    label, pos = "0", 0
     if residual.has_terms:
-        q, c = residual.terms[0]
-        label = str(residual)
-        pos = _float(c, 2)
-    else:
-        label = "0"
-        pos = 0.0
-    pane(mid + 40, WIDTH - 60.0, f"eps-scale around {st}", [(pos, label)])
+        label, pos = str(residual), _clamp(residual.terms[0][1], 2)
+    pane(mid + 40, WIDTH - 60, f"eps-scale around {rational_text(st)}", pos, label)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

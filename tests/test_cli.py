@@ -10,16 +10,22 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 import lcfield
+from lcfield import svg
 from lcfield.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA_PATH = REPO_ROOT / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+
+
+_BIG = "2" + "0" * 2200  # 2,201 digits, so its square has more than 4,300
+_NINES = "9" * 4300  # the longest digit run a literal may have
 
 
 def run(argv, capsys):
@@ -140,6 +146,25 @@ class TestSvg:
         run(["zoom", "1 - eps + 3*eps^(2)", "--svg", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["zoom", "1 + eps"], ["zoom", "2 + eps"], ["zoom", "1 - eps + 3*eps^(2)"], ["zoom", "3"],
+        ["zoom", "2 + 1" + "0" * 400 + "*eps"], ["zoom", "2 + 2*eps"], ["conic"],
+        ["conic", "--samples=-4,-2,0,2,4"], ["conic", "--samples", "0,2,1" + "0" * 400],
+    ])
+    def test_every_coordinate_is_exact(self, capsys, monkeypatch, tmp_path, argv):
+        # The AST guard of test_float_free.py cannot see a float made by int / int.
+        seen, fmt = [], svg._fmt
+        monkeypatch.setattr(svg, "_fmt", lambda v: seen.append(type(v)) or fmt(v))
+        assert run(argv + ["--svg", str(tmp_path / "plot.svg")], capsys)[0] == 0
+        assert seen and set(seen) <= {int, Fraction}
+
+    def test_coordinates_round_half_to_even(self):
+        values = [0, 170, Fraction(1, 8), Fraction(3, 8), Fraction(2, 3), Fraction(-1, 1000),
+                  Fraction(-5, 8), Fraction(94033, 200), 10**15 + Fraction(2, 3)]
+        assert [svg._fmt(v) for v in values] == [
+            "0.00", "170.00", "0.12", "0.38", "0.67", "-0.00", "-0.62", "470.16",
+            "1000000000000000.67"]
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -231,6 +256,33 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: number has more than 4300 digits (at position 0)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "x^20000", "--at", "x=10"],
+        ["eval", "sqrt(x*x*x)", "--at", f"x={_BIG}"],
+        ["eval", "x^3", "--at", f"x={_BIG}"],
+        ["eval", "1/x", "--at", f"x={_BIG} + eps"],
+        ["diff", "x^5", "--at", _BIG],
+        ["conic", "--samples=0,2," + "9" * 3000],
+        ["conic", "--samples=0,2," + "9" * 3000, "--svg"],
+        ["seq", "1/(n-1" + "0" * 1000 + ")"],
+        ["seq", f"n^{_NINES}*n^{_NINES}/(n^{_NINES}*n^{_NINES} + 1)"],
+        ["shadow", f"{_NINES} + {_NINES}"],
+        ["zoom", f"{_NINES} + {_NINES}"],
+    ])
+    def test_result_past_the_digit_limit_is_1(self, capsys, tmp_path, argv):
+        # In-process: an error that cli.main does not catch fails the test instead of exiting 1.
+        if argv[-1] == "--svg":
+            argv = argv + [str(tmp_path / "plot.svg")]
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(argv, capsys)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert (code, out) == (1, "")
+        assert err == ("error: Exceeds the limit (4300 digits) for integer string conversion; "
+                       "use sys.set_int_max_str_digits() to increase the limit\n")
 
     @pytest.mark.parametrize("argv", [["zoom", "1 + eps"], ["conic"]])
     def test_failed_svg_write_is_1(self, capsys, tmp_path, argv):

@@ -11,7 +11,7 @@ from conftest import (
     exact_numbers, exponents, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals,
     rationals,
 )
-from lcfield import number
+from lcfield import expr, number, sequences, shadows
 from lcfield.errors import (
     CoercionError,
     InvalidArgumentError,
@@ -633,6 +633,29 @@ class TestDigitLimit:
     def test_no_limit(self):
         sys.set_int_max_str_digits(0)
         assert parse("1" * 4400).st() == int("1" * 4400)
+
+    @pytest.mark.parametrize("call", [
+        lambda: str(LCNumber.from_rational(10**4400)),
+        lambda: str(EPS * F(1, 10**4400)),
+        lambda: str(EPS.pow_int(10**4400)),
+        # The message of NotAnNthPowerError names the radicand.
+        lambda: ((EPS + 10**2000).pow_int(3) + 1).nth_root(2),
+        lambda: number.rational_text(F(10**4400, 3)),
+        lambda: repr(LCNumber.monomial(1, 10**4400).order_class()),
+        lambda: expr.render(expr.Pow(expr.Var("x"), F(-1, 10**4400))),
+        lambda: expr.render(expr.Lit(F(10**4400, 3))),
+        lambda: expr.eval_rational(parse_expr("sqrt(x)"), {"x": 2 * 10**4400}),
+        lambda: str(sequences.DecimalTruncation("pi", 5, F(10**4400))),
+        lambda: poly_text([(10**4400, F(1))], "n"),
+        lambda: LCNumber([], -(10**4400)).st(),
+        lambda: expr.transfer_check(parse_expr("x^20000"), parse_expr("0"), trials=1),
+        lambda: shadows._relation(expr.Pow(expr.Var("x"), F(1, 10**4400)), EPS.inv(), 16),
+    ])
+    def test_text_past_the_limit_is_typed(self, call):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        assert str(info.value).startswith("Exceeds the limit (4300 digits) for integer string")
 
 
 # References: the leading-term decisions as they were before `LCNumber._lead`, one body

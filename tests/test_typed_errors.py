@@ -61,6 +61,12 @@ CASES = [
      "digits known only up to index 5"),
     (None, lambda: expr.eval_field(expr.Add(expr.Var("x"), "y"), {"x": 1}), CoercionError,
      TypeError, "not an expression node: 'y'"),
+    # A node refuses a non-node operand when it is built, not at its first walk.
+    (None, lambda: expr.Add(expr.Var("x"), "y"), CoercionError, TypeError,
+     "not an expression node: 'y'"),
+    (None, lambda: expr.Pow(2, Fraction(1, 2)), CoercionError, TypeError,
+     "not an expression node: 2"),
+    (None, lambda: expr.Neg(None), CoercionError, TypeError, "not an expression node: None"),
 ] + [
     # A float is never read as a rational, and a string is never parsed.
     (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
@@ -83,6 +89,8 @@ CASES = [
         (lambda: calculus.product_rule_trace(1, 0.1, EPS, EPS), "float"),
         (lambda: sequences.DecimalTruncation("pi", 5, 0.5), "float"),
         (lambda: sequences.DecimalTruncation("pi", 5, "1/2"), "str"),
+        (lambda: EPS.coefficient(1.0), "float"),
+        (lambda: EPS.coefficient(True), "bool"),
     ]
 ] + [
     # A sequence index is an int: never rounded, never parsed.
