@@ -17,7 +17,7 @@ kinds where every predicate is decidable:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -26,7 +26,9 @@ from .errors import (
     ZeroDivisionLCError,
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
-from .number import DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text, rational_text
+from .number import (
+    DEFAULT_DEPTH, ONE, LCNumber, Rational, _data_repr, _exact, poly_text, rational_text,
+)
 
 #: Leading decimal digits of the supported declared constants.
 CONSTANT_DIGITS = {
@@ -123,12 +125,16 @@ class DecimalTruncation:
 RationalSequence = Union[RationalFunctionOfN, DecimalTruncation]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Decomposition:
     """Constant part plus the eventual sign of the residue null sequence."""
 
     standard_part: Union[Fraction, str]
     residue_sign: int  # -1, 0, or +1
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={_data_repr(getattr(self, f.name))}" for f in fields(self))
+        return f"Decomposition({shown})"
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,12 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_power_of_a_sum_past_the_cap_is_1(self, capsys):
+        # (10 + eps)^100000 is never expanded: the exponent is refused first.
+        code, out, err = run(["diff", "x^100000", "--at", "10"], capsys)
+        message = "exponent 100000 is above 1000, the limit for an exact sum"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_parse_error_is_1(self, capsys):
         code, _, err = run(["eval", "1 + $"], capsys)
         assert code == 1

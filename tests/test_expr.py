@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -228,7 +229,50 @@ class TestTransferCheck:
     def test_non_identity_reports_counterexample(self):
         report = transfer_check(parse("a^2"), parse("a"), trials=10)
         assert not report.ok
-        assert report.first_counterexample is not None
+        # A tree without roots draws as it always has: pinned from the one-draw-per-value form.
+        assert (report.rational_trials, report.field_trials, len(report.failures)) == (10, 10, 18)
+        first = report.first_counterexample
+        assert (first.kind, first.binding, first.detail) == (
+            "rational", {"a": "3/7"}, "difference -12/49")
+
+    # The fractional-power identity shapes of the mixed-exponents benchmark, at a = 3.
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("(3*x^(1/2) + y^(1/3))^2", "9*x + 6*x^(1/2)*y^(1/3) + y^(2/3)"),
+        ("(x^(1/5) + 3)*(x^(1/5) - 3)", "x^(2/5) - 9"),
+        ("(x + y^(1/7))^2/(x + y^(1/7))", "x + y^(1/7)"),
+        ("x^(1/11)*x^(10/11) + 3*y", "x + 3*y"),
+        ("(x^(1/2))^2*y - x*y + 3", "3"),
+        ("(x^(1/3))^3 + (y^(1/2))^2", "x + y"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 4243])
+    def test_roots_on_variables_decide_every_trial(self, lhs, rhs, seed):
+        report = transfer_check(parse(lhs), parse(rhs), trials=20, seed=seed)
+        assert report.ok, report.first_counterexample
+        assert report.rational_trials == report.field_trials == 20
+
+    # Roots of sums are not drawn for: the attempt cap stops the second one at 19 field trials.
+    @pytest.mark.parametrize("lhs, rhs, field_trials", [
+        ("sqrt(x+1)^2", "x+1", 20),
+        ("sqrt(x+1/3)^2", "x+1/3", 19),
+    ])
+    def test_roots_on_sums_stop(self, lhs, rhs, field_trials):
+        report = transfer_check(parse(lhs), parse(rhs))
+        assert report.ok, report.first_counterexample
+        assert (report.rational_trials, report.field_trials) == (20, field_trials)
+
+    def test_root_order_over_the_cap_draws_as_without_roots(self):
+        # x has root order 1001, over MAX_ROOT_ORDER; pinned from the draws without root orders.
+        start = time.perf_counter()
+        lhs, rhs = parse("x^(1/7)*x^(1/11)*x^(1/13)"), parse("x^(1/13)*x^(1/11)*x^(1/7)*y")
+        report = transfer_check(lhs, rhs)
+        assert time.perf_counter() - start < 1
+        assert (report.ok, report.rational_trials, report.field_trials) == (False, 20, 20)
+        assert len(report.failures) == 28
+        first, last = report.failures[0], report.failures[-1]
+        assert (first.kind, first.binding, first.detail) == (
+            "rational", {"x": "1", "y": "9/4"}, "difference -5/4")
+        assert (last.kind, last.binding, last.detail) == (
+            "field", {"x": "-eps^(-3)", "y": "-7/9"}, "difference -16/9*eps^(-933/1001)")
 
     def test_expansion_oracle_identities(self):
         rng = random.Random(7)
@@ -262,4 +306,13 @@ def test_random_field_value_leaves_the_generator_where_it_was_left():
     rng = random.Random(5)
     for _ in range(50):
         random_field_value(rng)
+    assert rng.getrandbits(64) == GETRANDBITS_AFTER_50
+
+
+@pytest.mark.parametrize("power", [2, 6])
+def test_a_powered_field_value_has_that_root(power):
+    # The same draws with every coefficient raised: the generator moves as for power 1.
+    rng = random.Random(5)
+    for _ in range(50):
+        random_field_value(rng, power).nth_root(power)  # a coefficient with no root raises
     assert rng.getrandbits(64) == GETRANDBITS_AFTER_50

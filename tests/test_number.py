@@ -577,6 +577,29 @@ _POLY_PAIRS = st.lists(
 )
 
 
+class TestExactPowerCap:
+    CAP = number.MAX_EXACT_POWER
+
+    @pytest.mark.parametrize("src", ["10 + eps", "eps^(-1) - 1/2 + eps^(1/3)"])
+    def test_refused_before_any_product(self, monkeypatch, src):
+        x = parse(src)
+        monkeypatch.setattr(LCNumber, "__mul__", lambda *args: pytest.fail("a product ran"))
+        with pytest.raises(InvalidArgumentError) as info:
+            x.pow_int(self.CAP + 1)
+        limit = f"{self.CAP}, the limit for an exact sum"
+        assert str(info.value) == f"exponent {self.CAP + 1} is above {limit}"
+        assert isinstance(info.value, LCError) and isinstance(info.value, ValueError)
+
+    def test_at_the_cap_the_power_is_expanded(self):
+        assert len((ONE + EPS).pow_int(self.CAP).terms) == self.CAP + 1
+
+    def test_monomials_and_truncated_operands_keep_their_path(self):
+        k = self.CAP + 1
+        assert parse("2*eps^(1/3)").pow_int(k) == LCNumber.monomial(2**k, F(k, 3))
+        binomial = LCNumber([(0, 1), (1, k), (2, k * (k - 1) // 2)], 3)
+        assert parse("1 + eps + O(eps^(3))").pow_int(k) == binomial
+
+
 class TestSignedSumPrinter:
     @given(printed_numbers())
     @example(ZERO)
@@ -650,6 +673,8 @@ class TestDigitLimit:
         lambda: LCNumber([], -(10**4400)).st(),
         lambda: expr.transfer_check(parse_expr("x^20000"), parse_expr("0"), trials=1),
         lambda: shadows._relation(expr.Pow(expr.Var("x"), F(1, 10**4400)), EPS.inv(), 16),
+        lambda: repr(expr.Lit(F(10**4400))),
+        lambda: repr(sequences.Decomposition(F(10**4400), 1)),
     ])
     def test_text_past_the_limit_is_typed(self, call):
         with pytest.raises(InvalidArgumentError) as info:
