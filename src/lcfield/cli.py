@@ -48,11 +48,14 @@ def _depth_arg(text: str) -> int:
 
 
 def _rational_arg(text: str) -> Fraction:
-    """argparse type of a rational such as 2, -1/3 or 0.5, else a usage error."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    """argparse type of a rational such as 2, -1/3 or 0.5, else a usage error.  ASCII
+    only and no ``_``: ``Fraction`` reads those differently across Python versions."""
+    if text.isascii() and "_" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}")
 
 
 def _samples_arg(text: str) -> list[Fraction]:

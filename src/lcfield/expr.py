@@ -18,10 +18,10 @@ Grammar (also in docs/grammar.md)::
     exponent = [ "-" ] , NUMBER
              | "(" , [ "-" ] , NUMBER , [ "/" , NUMBER ] , ")" ;
 
-NUMBER is an unsigned integer or decimal literal (read exactly, never as a
-float); NAME matches ``[a-zA-Z][a-zA-Z0-9_]*``.  ``^`` binds tighter than
-unary minus; ``*``/``/`` and ``+``/``-`` are left-associative.  ``(`` and
-``sqrt(`` nest at most :data:`MAX_NESTING` deep.
+NUMBER is an unsigned integer or decimal literal of digits ``[0-9]`` (read
+exactly, never as a float); NAME matches ``[a-zA-Z][a-zA-Z0-9_]*``.  ``^`` binds
+tighter than unary minus; ``*``/``/`` and ``+``/``-`` are left-associative.  ``(``
+and ``sqrt(`` nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ MAX_NESTING = 100
 
 
 class _Parser(_Cursor):
-    TOKEN_RE = re.compile(r"(\d+\.\d+|\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([+\-*/^()])|(\S)")
+    TOKEN_RE = re.compile(r"([0-9]+\.[0-9]+|[0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)|([+\-*/^()])|(\S)")
     KINDS = ("num", "name", "op")
     nesting = 0
 
@@ -439,13 +439,6 @@ def _random_rational(rng: random.Random, power: int) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9)) ** power
 
 
-def _random_nonzero_rational(rng: random.Random, power: int) -> Fraction:
-    while True:
-        r = _random_rational(rng, power)
-        if r != 0:
-            return r
-
-
 def random_field_value(rng: random.Random, power: int = 1) -> LCNumber:
     """A random binding value: standard, infinitesimal, unlimited, or mixed.
 
@@ -454,7 +447,9 @@ def random_field_value(rng: random.Random, power: int = 1) -> LCNumber:
     kind = rng.randrange(5)
     terms = [(0, _random_rational(rng, power))]
     for sign in (1, -1):  # a coefficient, then its exponent: c*eps^(k), then c*eps^(-k)
-        c = _random_nonzero_rational(rng, power)
+        c = _random_rational(rng, power)
+        while not c:
+            c = _random_rational(rng, power)
         terms.append((sign * rng.randint(1, 3), c))
     std, small, big = terms
     return LCNumber(([std], [small], [big], [std, small], [big, std, small])[kind])
@@ -466,32 +461,6 @@ def random_field_value(rng: random.Random, power: int = 1) -> LCNumber:
 #: ``x^(119/120)`` 1.1 s, ``x^(209/210)`` 9 s and ``x^(1/7)*x^(1/11)*x^(1/13)`` (L = 1001)
 #: 2 s, against 0.01 s drawn as for L = 1 (x86-64, Python 3.11).
 MAX_ROOT_ORDER = 60
-
-
-def _orders(*values) -> dict:
-    """The root orders of a node's operands, merged; a bare variable (its name) adds none."""
-    orders: dict = {}
-    for value in values:
-        if isinstance(value, dict):
-            for name, k in value.items():
-                orders[name] = lcm(orders.get(name, 1), k)
-    return orders
-
-
-def _root(value, k: int) -> dict:
-    """The root orders of a root of index k: it counts when taken directly of a variable."""
-    return {value: k} if isinstance(value, str) else value
-
-
-# A bare variable's value is its name; any other node's maps each variable to the lcm
-# of the indices of the roots taken directly of it in the node's subtree.
-_ROOT_ORDERS = {
-    Var: str,
-    Lit: lambda value: {},
-    **dict.fromkeys((Add, Sub, Mul, Div, Neg), _orders),
-    Sqrt: lambda value: _root(value, 2),
-    Pow: lambda value, q: _root(value, q.denominator),
-}
 
 
 def transfer_check(
@@ -518,10 +487,14 @@ def transfer_check(
     rather than silently passed.
     """
     rng = random.Random(seed)
-    names = sorted(free_vars(lhs) | free_vars(rhs))
-    orders = fold(Sub(lhs, rhs), _ROOT_ORDERS)
-    powers = [(name, orders.get(name, 1)) for name in names]
-    powers = [(name, k if k <= MAX_ROOT_ORDER else 1) for name, k in powers]
+    pairs = _preorder(Sub(lhs, rhs))
+    orders = {name: 1 for cls, name in pairs if cls is Var}
+    # A one-operand node's operand is the pair right after it in a preorder, so a
+    # Pow or Sqrt pair followed by a Var pair is a root taken directly of that variable.
+    for (cls, data), (operand, name) in zip(pairs, pairs[1:]):
+        if operand is Var and cls in (Pow, Sqrt):
+            orders[name] = lcm(orders[name], 2 if cls is Sqrt else data.denominator)
+    powers = [(name, k if k <= MAX_ROOT_ORDER else 1) for name, k in sorted(orders.items())]
     report = TransferReport(ok=True, rational_trials=0, field_trials=0)
 
     def probe(kind: str, draw: Callable, evaluate: Callable, differs: Callable) -> int:
@@ -540,7 +513,7 @@ def transfer_check(
             done += 1
             if failure is not None:
                 report.ok = False
-                shown = {k: str(v) for k, v in binding.items()}
+                shown = {k: str(LCNumber._coerce(v)) for k, v in binding.items()}
                 report.failures.append(TransferFailure(failure[0], shown, failure[1]))
         return done
 

@@ -32,6 +32,7 @@ import enum
 import re
 import sys
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
@@ -68,6 +69,7 @@ class Comparison(enum.Enum):
     GT = 1
 
 
+@dataclass(frozen=True, slots=True)
 class OrderClass:
     """Leading order of magnitude: a leading exponent plus a sign.
 
@@ -75,19 +77,8 @@ class OrderClass:
     no finite multiple of the smaller-order one ever exceeds the other.
     """
 
-    __slots__ = ("leading_exponent", "sign")
-
-    def __init__(self, leading_exponent: Fraction, sign: int):
-        self.leading_exponent = leading_exponent
-        self.sign = sign  # -1, 0, or +1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderClass):
-            return NotImplemented
-        return (self.leading_exponent, self.sign) == (other.leading_exponent, other.sign)
-
-    def __hash__(self) -> int:
-        return hash((self.leading_exponent, self.sign))
+    leading_exponent: Fraction
+    sign: int  # -1, 0, or +1
 
     def __repr__(self) -> str:
         return f"OrderClass(exponent={rational_text(self.leading_exponent)}, sign={self.sign:+d})"
@@ -716,7 +707,7 @@ class _Cursor:
 
 
 class _NumberParser(_Cursor):
-    TOKEN_RE = re.compile(r"(\d+)|(eps)|(O)|([+\-*^()/])|(\S)")
+    TOKEN_RE = re.compile(r"([0-9]+)|(eps)|(O)|([+\-*^()/])|(\S)")
     KINDS = ("int", "eps", "O", "op")
 
     def fraction(self) -> Fraction:

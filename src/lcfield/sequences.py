@@ -219,7 +219,7 @@ def asymptotic_embed(a: RationalSequence, depth: int = DEFAULT_DEPTH) -> LCNumbe
 # Sequence literals
 # ---------------------------------------------------------------------------
 
-_CONST_RE = re.compile(r"\s*const:([a-zA-Z][a-zA-Z0-9]*)(?::(\d+))?\s*$")
+_CONST_RE = re.compile(r"\s*const:([a-zA-Z][a-zA-Z0-9]*)(?::([0-9]+))?\s*$")
 
 
 class _SequenceParser(_Parser):

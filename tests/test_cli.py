@@ -223,6 +223,10 @@ class TestExitCodes:
         [
             (["diff", "x", "--at", "1/0"], "argument --at: invalid rational value: '1/0'"),
             (["diff", "x", "--at", "abc"], "argument --at: invalid rational value: 'abc'"),
+            # Fraction reads `_` on Python 3.11 but not on 3.10, and any Unicode digit.
+            (["diff", "x^2", "--at", "1_0"], "argument --at: invalid rational value: '1_0'"),
+            (["diff", "x^2", "--at", "\u0661"], "argument --at: invalid rational value: '\u0661'"),
+            (["conic", "--samples", "0,2_0,4"], "argument --samples: invalid rational value: '2_0'"),
             (["conic", "--samples", "1/0,2,4"], "argument --samples: invalid rational value: '1/0'"),
             (["conic", "--samples", "0,abc"], "argument --samples: invalid rational value: 'abc'"),
         ],
@@ -239,6 +243,15 @@ class TestExitCodes:
     def test_empty_binding_name_is_1(self, capsys, at, message):
         code, out, err = run(["eval", "x", "--at", at], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["shadow", "\u0663"], ["eval", "\u0663+x", "--at", "x=1"]])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", "error: unexpected character '\u0663' (at position 0)\n")
+
+    def test_no_break_space_between_tokens_is_whitespace(self, capsys):
+        assert run(["eval", "2\u00a0+\u00a0x", "--at", "x=1"], capsys) == (0, "3\n", "")
+        assert run(["shadow", "3\u00a0+\u00a0eps"], capsys) == (0, "3\n", "")
 
     def test_decimal_rationals_are_accepted(self, capsys):
         assert run(["diff", "x^2", "--at", "0.5"], capsys) == (0, "1\npre_shadow = 1 + eps\n", "")

@@ -274,6 +274,16 @@ class TestTransferCheck:
         assert (last.kind, last.binding, last.detail) == (
             "field", {"x": "-eps^(-3)", "y": "-7/9"}, "difference -16/9*eps^(-933/1001)")
 
+    def test_undecidable_evaluation_is_a_failure(self):
+        # A multi-term x leaves x*(1/x) - 1 zero up to O(eps^16); pinned before one-walk draws.
+        report = transfer_check(parse("1/(x*(1/x) - 1)"), parse("0"))
+        assert (report.ok, report.rational_trials, report.field_trials) == (False, 0, 20)
+        assert len(report.failures) == 20
+        first = report.first_counterexample
+        assert (first.kind, first.binding, first.detail) == (
+            "undecidable", {"x": "-7/3*eps^(-2) - 8/7 - 2*eps^(3)"},
+            "operand is zero up to O(eps^(16)); inverse undecidable")
+
     def test_expansion_oracle_identities(self):
         rng = random.Random(7)
         for _ in range(10):

@@ -335,6 +335,14 @@ class TestClassification:
     def test_order_class_of_negative_unlimited(self):
         assert (-EPS.inv()).order_class() == OrderClass(F(-1), -1)
 
+    def test_order_class_is_a_frozen_value(self):
+        a, b = OrderClass(F(1, 2), 1), OrderClass(leading_exponent=F(1, 2), sign=1)
+        assert a == b and hash(a) == hash(b)
+        assert OrderClass(F(0), 0) != 0
+        with pytest.raises(AttributeError):
+            a.sign = -1
+        assert a in {b}
+
     @given(nonzero_numbers, nonzero_numbers)
     def test_distinct_order_classes_are_incomparable(self, a, b):
         # No integer multiple of the higher-order element passes the other.

@@ -141,6 +141,10 @@ class TestParsing:
         assert str(info.value) == f"known_digits must be in 1..50 (at position {pos})"
         assert info.value.pos == pos
 
+    def test_digit_count_takes_ascii_digits_only(self):
+        with pytest.raises(ParseError):
+            seq("const:pi:\u0661\u0660")
+
     def test_decimal_truncation_keeps_value_error(self):
         with pytest.raises(ValueError) as info:
             DecimalTruncation("pi", 0)
@@ -223,6 +227,11 @@ class TestDecompose:
 
     def test_exact_constant(self):
         assert decompose(seq("3/2")) == Decomposition(F(3, 2), 0)
+
+    def test_repr(self):
+        assert repr(Decomposition(F(1, 2), -1)) == (
+            "Decomposition(standard_part=Fraction(1, 2), residue_sign=-1)")
+        assert repr(Decomposition("pi", -1)) == "Decomposition(standard_part='pi', residue_sign=-1)"
 
     def test_constant_stream_approaches_from_below(self):
         got = decompose(seq("const:pi"))
