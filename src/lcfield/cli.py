@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -28,19 +29,20 @@ from .number import parse as parse_number
 
 
 def _default_depth() -> int:
-    """LC_DEPTH when it is a positive integer, else DEFAULT_DEPTH."""
+    """LC_DEPTH when ``--depth`` takes it, else DEFAULT_DEPTH."""
     try:
-        depth = int(os.environ.get("LC_DEPTH", ""))
-    except ValueError:
+        return _depth_arg(os.environ.get("LC_DEPTH", ""))
+    except argparse.ArgumentTypeError:
         return DEFAULT_DEPTH
-    return depth if depth >= 1 else DEFAULT_DEPTH
 
 
 def _depth_arg(text: str) -> int:
-    """argparse type of --depth: an integer >= 1, else a usage error."""
+    """argparse type of --depth: an integer >= 1 in ASCII digits, else a usage error."""
     try:
+        if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):  # int() also reads 1_6 and +16
+            raise ValueError(text)
         depth = int(text)
-    except ValueError:
+    except ValueError:  # another shape, or past the digit limit
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if depth < 1:
         raise argparse.ArgumentTypeError(f"depth must be at least 1, got {depth}")
@@ -48,12 +50,11 @@ def _depth_arg(text: str) -> int:
 
 
 def _rational_arg(text: str) -> Fraction:
-    """argparse type of a rational such as 2, -1/3 or 0.5, else a usage error.  ASCII
-    only and no ``_``: ``Fraction`` reads those differently across Python versions."""
-    if text.isascii() and "_" not in text:
+    """argparse type of a rational such as 2, -1/3 or 0.5, else a usage error."""
+    if re.fullmatch(r"\s*-?[0-9]+(\.[0-9]+|/[0-9]+)?\s*", text, re.ASCII):  # not 1e3, +2, 1_0
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or a zero denominator
             pass
     raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}")
 

@@ -20,7 +20,7 @@ stored identically.  Arithmetic, comparison and the text form work on this
 form.  Only roots refine D; operands on two lattices meet on their lcm, each
 rescaled by an integer factor.  ``terms`` (``(exponent, coefficient)`` pairs
 of ``Fraction``) and ``trunc`` (a ``Fraction`` or ``None``) are read-only
-views, built on first read.
+views, built from the stored form when read.
 
 Values are immutable; every operation returns a fresh canonical value.  All
 arithmetic is exact — there is no floating point anywhere in this module.
@@ -111,17 +111,19 @@ def _int_nth_root(x: int, n: int) -> Optional[int]:
     return r if r**n == x else None
 
 
-def rational_nth_root(c: Fraction, n: int) -> Fraction:
-    """Exact rational n-th root of c, or raise."""
-    if c < 0:
-        if n % 2 == 0:
-            raise NegativeRootError(f"even root of negative coefficient {rational_text(c)}")
-        return -rational_nth_root(-c, n)
-    num = _int_nth_root(c.numerator, n)
+def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
+    """Exact rational n-th root of c**p, or raise; an error names c**p.  For p prime to n,
+    c**p is an n-th power exactly when c is one, so the root is taken of c first."""
+    if n == 1:
+        return c**p
+    if c < 0 and n % 2 == 0:
+        raise NegativeRootError(f"even root of negative coefficient {rational_text(c**p)}")
+    num = _int_nth_root(abs(c.numerator), n)
     den = _int_nth_root(c.denominator, n)
     if num is None or den is None:
-        raise NotAnNthPowerError(f"{rational_text(c)} has no rational {rational_text(n)}-th root")
-    return Fraction(num, den)
+        text = rational_text(abs(c**p))
+        raise NotAnNthPowerError(f"{text} has no rational {rational_text(n)}-th root")
+    return Fraction(-num if c < 0 else num, den) ** p
 
 
 def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
@@ -175,10 +177,10 @@ class LCNumber:
 
     Stored on the lattice (1/D)Z (see the module docstring): ``_D`` is D,
     ``_ints`` the ascending ``(e, n, d)`` triples, ``_T`` the truncation order
-    over D or None.  ``_terms`` and ``_trunc`` cache the Fraction views.
+    over D or None.
     """
 
-    __slots__ = ("_D", "_ints", "_T", "_terms", "_trunc")
+    __slots__ = ("_D", "_ints", "_T")
 
     def __new__(
         cls,
@@ -244,21 +246,13 @@ class LCNumber:
     @property
     def terms(self) -> tuple:
         """The known terms as ascending ``(exponent, coefficient)`` Fraction pairs."""
-        try:
-            return self._terms
-        except AttributeError:
-            D = self._D
-            self._terms = tuple([(Fraction(e, D), Fraction(n, d)) for e, n, d in self._ints])
-            return self._terms
+        D = self._D
+        return tuple([(Fraction(e, D), Fraction(n, d)) for e, n, d in self._ints])
 
     @property
     def trunc(self) -> Optional[Fraction]:
         """The truncation order as a Fraction, or None for a number known exactly."""
-        try:
-            return self._trunc
-        except AttributeError:
-            self._trunc = None if self._T is None else Fraction(self._T, self._D)
-            return self._trunc
+        return None if self._T is None else Fraction(self._T, self._D)
 
     @property
     def has_terms(self) -> bool:
@@ -442,7 +436,7 @@ class LCNumber:
     def pow_rational(self, alpha: Rational, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """self^(p/q) for alpha = p/q, as c0^(p/q) * eps^(lam*p/q) * (1 + u)^alpha.
 
-        The leading coefficient c0^p must have an exact rational q-th root.
+        The leading coefficient c0 must have an exact rational q-th root.
         Exact for monomials with unbounded truncation; otherwise the result is
         truncated after ``depth`` exponent steps beyond the leading exponent
         (a step is the gcd granularity of the operand's exponents), or sooner
@@ -467,8 +461,7 @@ class LCNumber:
             return LCNumber._make(1, (), None)
         # On the lattice (1/(D*q))Z, the result's leading exponent lam/D * p/q is lam*p.
         (lam, cn, cd), ints, T = lead, self._ints, self._T
-        c0p = Fraction(cn, cd) ** p
-        r0 = c0p if q == 1 else rational_nth_root(c0p, q)
+        r0 = rational_nth_root(Fraction(cn, cd), q, p)
         mu, D = lam * p, self._D * q
         if len(ints) == 1:
             term = ((mu, r0.numerator, r0.denominator),)

@@ -219,7 +219,8 @@ def asymptotic_embed(a: RationalSequence, depth: int = DEFAULT_DEPTH) -> LCNumbe
 # Sequence literals
 # ---------------------------------------------------------------------------
 
-_CONST_RE = re.compile(r"\s*const:([a-zA-Z][a-zA-Z0-9]*)(?::([0-9]+))?\s*$")
+# Any literal that starts with "const:" is a stream: the tag up to ":", then the count.
+_CONST_RE = re.compile(r"\s*const:([^:]*?)(?::(.*?))?\s*", re.DOTALL)
 
 
 class _SequenceParser(_Parser):
@@ -272,13 +273,15 @@ _SEQUENCE_RING = {
 
 def parse_sequence(src: str) -> RationalSequence:
     """Parse "poly(n)/poly(n)" (expression syntax in n) or "const:pi[:digits]"."""
-    m = _CONST_RE.match(src)
+    m = _CONST_RE.fullmatch(src)
     if m:
-        tag = m.group(1)
+        tag, count = m.groups()
         if tag not in CONSTANT_DIGITS:
             raise ParseError(f"unknown constant tag {tag!r}", m.start(1))
+        if count is not None and not re.fullmatch("[0-9]+", count):
+            raise ParseError(f"expected a digit count, got {count!r}", m.start(2))
         try:
-            return DecimalTruncation(tag, int(m.group(2)) if m.group(2) else 20)
+            return DecimalTruncation(tag, 20 if count is None else int(count))
         except ValueError as exc:  # the digit count is out of range or past int's limit
             raise ParseError(str(exc), m.start(2)) from None
     p, q = fold(_SequenceParser(src).parse(), _SEQUENCE_RING)

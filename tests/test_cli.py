@@ -229,6 +229,14 @@ class TestExitCodes:
             (["conic", "--samples", "0,2_0,4"], "argument --samples: invalid rational value: '2_0'"),
             (["conic", "--samples", "1/0,2,4"], "argument --samples: invalid rational value: '1/0'"),
             (["conic", "--samples", "0,abc"], "argument --samples: invalid rational value: 'abc'"),
+            # Only -?[0-9]+ with an optional .[0-9]+ or /[0-9]+; Fraction reads these too.
+            (["diff", "x^2", "--at", "1e3"], "argument --at: invalid rational value: '1e3'"),
+            (["diff", "x^2", "--at", "1E3"], "argument --at: invalid rational value: '1E3'"),
+            (["diff", "x^2", "--at", "+2"], "argument --at: invalid rational value: '+2'"),
+            (["diff", "x^2", "--at", ".5"], "argument --at: invalid rational value: '.5'"),
+            (["diff", "x^2", "--at", "5."], "argument --at: invalid rational value: '5.'"),
+            (["conic", "--samples", "0,1e3,4"], "argument --samples: invalid rational value: '1e3'"),
+            (["conic", "--samples", "0,+2,.5"], "argument --samples: invalid rational value: '+2'"),
         ],
     )
     def test_bad_rational_is_usage_error(self, capsys, argv, message):
@@ -243,6 +251,9 @@ class TestExitCodes:
     def test_empty_binding_name_is_1(self, capsys, at, message):
         code, out, err = run(["eval", "x", "--at", at], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_empty_binding_is_skipped(self, capsys):
+        assert run(["eval", "x", "--at", "x=2,"], capsys) == (0, "2\n", "")
 
     @pytest.mark.parametrize("argv", [["shadow", "\u0663"], ["eval", "\u0663+x", "--at", "x=1"]])
     def test_non_ascii_digit_is_a_parse_error(self, capsys, argv):
@@ -363,6 +374,18 @@ class TestDepthEnvironment:
         assert code == 2
         assert out == ""
         assert f"argument --depth: depth must be at least 1, got {depth}" in err
+
+    @pytest.mark.parametrize("depth", ["abc", "\u0661\u0666", "1_6", "+16"])
+    def test_non_digit_flag_is_usage_error(self, capsys, depth):
+        code, out, err = run(["diff", "x^2", "--at", "1", "--depth", depth], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument --depth: invalid int value: {depth!r}\n")
+
+    @pytest.mark.parametrize("depth", ["\u0664", "1_4", "+4"])
+    def test_non_digit_env_falls_back(self, capsys, monkeypatch, depth):
+        monkeypatch.setenv("LC_DEPTH", depth)
+        payload = run_json(["eval", "x", "--at", "x=eps"], capsys)
+        assert payload["depth"] == 16
 
 
 # The --help output of `lc` and of each subcommand at 80 columns, byte for byte.

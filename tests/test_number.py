@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -309,6 +310,29 @@ class TestRoots:
             got = x.pow_rational(alpha)
             assert got == 1 and got.trunc is None and str(got) == "1"
 
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_root_of_a_power_is_the_power_of_the_root(self, data):
+        """The root of c**p, value or error, for p/q in lowest terms; c a q-th power or not."""
+        q = data.draw(st.integers(1, 12))
+        p = data.draw(st.integers(-15, 15).filter(lambda p: gcd(p, q) == 1))
+        r = F(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(1, 9)))
+        c = r ** data.draw(st.sampled_from([1, 2, 3, q, 2 * q]))
+        got = _outcome(lambda: number.rational_nth_root(c, q, p))
+        assert got == _outcome(lambda: number.rational_nth_root(c**p, q))
+        assert type(got) in (F, tuple)
+
+    def test_root_is_taken_before_the_power(self, monkeypatch):
+        c, radicands, root = F(7, 4) ** 210, [], number._int_nth_root
+
+        def recording_root(x, n):
+            radicands.append(x.bit_length())
+            return root(x, n)
+
+        monkeypatch.setattr(number, "_int_nth_root", recording_root)
+        assert number.rational_nth_root(c, 210, 209) == F(7, 4) ** 209
+        assert radicands and max(radicands) <= c.numerator.bit_length()
+
     @given(nonzero_numbers, nonzero_rationals)
     @settings(max_examples=200)
     def test_square_root_squares_back(self, a, c):
@@ -406,6 +430,10 @@ class TestHash:
     def test_equal_values_hash_equal(self, a, b):
         total = (a + b) - b
         assert total == a and hash(total) == hash(a)
+
+    def test_equality_with_a_non_number_is_left_to_the_other_side(self):
+        assert EPS.__eq__("x") is NotImplemented
+        assert (EPS == "x") is False and (EPS != "x") is True
 
 
 # (input, message, pos): every ParseError raise site of the number grammar.

@@ -97,6 +97,9 @@ class TestParsing:
             ("n +", "unexpected end of input", 3),
             ("", "empty expression", 0),
             ("const:phi", "unknown constant tag 'phi'", 6),
+            ("const:pi:x", "expected a digit count, got 'x'", 9),
+            ("const:pi:", "expected a digit count, got ''", 9),
+            ("const:pi:\u0661\u0660", "expected a digit count, got '\u0661\u0660'", 9),
         ],
     )
     def test_parse_error_message_and_position(self, src, message, pos):
@@ -144,6 +147,10 @@ class TestParsing:
     def test_digit_count_takes_ascii_digits_only(self):
         with pytest.raises(ParseError):
             seq("const:pi:\u0661\u0660")
+
+    def test_decimal_truncation_names_an_unknown_tag(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown constant tag 'phi'$"):
+            DecimalTruncation("phi", 5)
 
     def test_decimal_truncation_keeps_value_error(self):
         with pytest.raises(ValueError) as info:
@@ -213,6 +220,22 @@ class TestPredicates:
     def test_dominance_needs_rational_functions(self):
         with pytest.raises(UnsupportedKindError):
             eventually_dominates(seq("const:pi"), seq("3"))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: seq_add(seq("const:pi"), seq("const:e")),
+             "unsupported sequence kinds for addition"),
+            (lambda: is_null(3), "unsupported kind int"),
+            (lambda: decompose(3), "unsupported kind int"),
+            (lambda: eventually_zero(DecimalTruncation("pi", 5)),
+             "eventual-zero test needs a rational function of n"),
+        ],
+    )
+    def test_unsupported_kinds(self, call, message):
+        with pytest.raises(UnsupportedKindError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestDecompose:

@@ -303,6 +303,14 @@ class TestConicPoint:
         with pytest.raises(NotUnlimitedError):
             conic_point(LCNumber.from_rational(10), 1)
 
+    @pytest.mark.parametrize(
+        "call", [lambda H: conic_point(H, 1), lambda H: conic_shadow(H, (0, 2, 4))]
+    )
+    def test_termless_H_is_not_decidably_unlimited(self, call):
+        with pytest.raises(NotUnlimitedError) as info:
+            call(LCNumber([], -1))
+        assert str(info.value) == "H = O(eps^(-1)) is not decidably unlimited"
+
     def test_infinitesimal_point_through_termless_products(self):
         # y = 2/3*eps^(9/11) + ... at x = 2: no term of it is known below
         # depth 64 (steps of 1/77), yet a sound product of O() factors still
