@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import LCError
+from .errors import InvalidArgumentError, LCError
 from .expr import eval_field, parse as parse_expr
 from .number import DEFAULT_DEPTH, LCNumber, poly_text, rational_text
 from .number import parse as parse_number
@@ -71,10 +71,10 @@ def _parse_binding_list(text: str) -> dict[str, LCNumber]:
         if not part:
             continue
         if "=" not in part:
-            raise LCError(f"binding {part!r} is not of the form name=value")
+            raise InvalidArgumentError(f"binding {part!r} is not of the form name=value")
         name, _, value = part.partition("=")
         if not name.strip():
-            raise LCError(f"binding {part!r} has an empty name")
+            raise InvalidArgumentError(f"binding {part!r} has an empty name")
         binding[name.strip()] = parse_number(value)
     return binding
 

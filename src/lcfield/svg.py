@@ -8,7 +8,6 @@ the same input always yields byte-identical markup.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .number import LCNumber, Rational, rational_text
@@ -23,19 +22,15 @@ _HEADER = (
 )
 
 
-def _hundredths(n: int, d: int) -> str:
-    """n/d hundredths, d > 0, rounded half to even to a whole one and printed with two
-    decimals, signed if n < 0 (-1/10 of a hundredth is -0.00, as ``.2f`` prints it)."""
+def _fmt(v: Rational) -> str:
+    """v rounded half to even at two decimals, signed if v < 0 (-1/1000 is -0.00, as
+    ``.2f`` prints it)."""
+    n, d = 100 * v.numerator, v.denominator
     q, r = divmod(abs(n), d)
     if 2 * r > d or 2 * r == d and q & 1:
         q += 1
     digits = rational_text(q).rjust(3, "0")
     return f"{'-' if n < 0 else ''}{digits[:-2]}.{digits[-2:]}"
-
-
-def _fmt(v: Rational) -> str:
-    """v rounded half to even at two decimals."""
-    return _hundredths(100 * v.numerator, v.denominator)
 
 
 def _clamp(v: Rational, bound: int = 10**12) -> Rational:
@@ -70,18 +65,11 @@ def parabola_svg(
         f'<line x1="{_fmt(y_axis_x)}" y1="40" x2="{_fmt(y_axis_x)}" y2="{HEIGHT - 40}" '
         'stroke="#888" stroke-width="1"/>'
     )
-    # Parabola polyline: 96 steps of 1/8 across [-6, 6], in integers.  With x = t/8 and M
-    # the coefficients' common denominator, y = Y/(64*M) for the integer Y below, and the
-    # pixel in hundredths is (12000 + 1750*(t + 48))/3 across and (448000*M - 625*Y)/(12*M) down.
-    M = lcm(A.denominator, B.denominator, C.denominator)
-    a, b, c = (k * v.numerator * (M // v.denominator) for k, v in ((1, A), (8, B), (64, C)))
-    samples = []
-    for t in range(-48, 49):
-        Y = (a * t + b) * t + c
-        px, py = _hundredths(12000 + 1750 * (t + 48), 3), _hundredths(448000 * M - 625 * Y, 12 * M)
-        samples.append(f"{px},{py}")
+    # Parabola polyline: 96 steps of 1/8 across [-6, 6].
+    curve = (pixel(x, (A * x + B) * x + C) for x in (Fraction(t, 8) for t in range(-48, 49)))
+    samples = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in curve)
     parts.append(
-        f'<polyline points="{" ".join(samples)}" fill="none" stroke="#1f77b4" '
+        f'<polyline points="{samples}" fill="none" stroke="#1f77b4" '
         'stroke-width="2"/>'
     )
     # Sample points.

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,7 +13,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import jsonschema
 import pytest
 
 import lcfield
@@ -38,6 +38,7 @@ def run_json(argv, capsys):
     code, out, err = run(argv + ["--json"], capsys)
     assert code == 0, err
     payload = json.loads(out)
+    import jsonschema  # here, so that a Python whose jsonschema cannot load still collects
     jsonschema.validate(payload, SCHEMA)
     return payload
 
@@ -134,6 +135,24 @@ class TestSvg:
         markup = target.read_text()
         assert markup.startswith("<svg")
         assert "circle" in markup
+
+    @pytest.mark.parametrize("samples, sha256", [
+        ([], "f9fd610e97f9779935a97983077abb7bd2169f0e15c86e4eb8e19f0122aa96ca"),
+        (["--samples=-3/2,1/3,5/2"],
+         "4bbc41cec83c69a0e018c6af18feb52d7a9f3edeb300838b17aef2c137006fab"),
+    ])
+    def test_conic_svg_bytes(self, capsys, tmp_path, samples, sha256):
+        target = tmp_path / "parabola.svg"
+        assert run(["conic", *samples, "--svg", str(target)], capsys)[0] == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == sha256
+
+    def test_polyline_is_printed_by_fmt(self, monkeypatch):
+        fmt = svg._fmt
+        monkeypatch.setattr(svg, "_fmt", lambda v: "fmt:" + fmt(v))
+        markup = svg.parabola_svg((Fraction(1, 4), Fraction(0), Fraction(-1)), [])
+        points = re.search(r'<polyline points="([^"]*)"', markup).group(1)
+        numbers = [n for pair in points.split(" ") for n in pair.split(",")]
+        assert len(numbers) == 194 and all(n.startswith("fmt:") for n in numbers)
 
     def test_zoom_svg_to_stdout(self, capsys):
         code, out, _ = run(["zoom", "2 + eps"], capsys)

@@ -449,7 +449,7 @@ def test_pickle_round_trips_before_and_after_the_view(x, y, depth):
     for r in _all_ops(x, y, depth, F(-1, 2), 2, 3):
         before = pickle.loads(pickle.dumps(r))
         assert _stored(before) == _stored(r) and hash(before) == hash(r)
-        terms, trunc = r.terms, r.trunc  # the views are built and cached now
+        terms, trunc = r.terms, r.trunc  # the views are built on every read, never cached
         after = pickle.loads(pickle.dumps(r))
         assert _stored(after) == _stored(r) and after.terms == terms and after.trunc == trunc
         assert str(before) == str(after) == str(r)

@@ -103,6 +103,15 @@ class TestConicShadow:
             (2, 0): "-1 - 4*eps - 4*eps^(2)",
         }  # shadow: 4*y + 4 - x^2
 
+    def test_another_conic_gives_its_own_parabola(self, monkeypatch):
+        # Another ellipse with a focus at the origin, eccentricity H/(H + 3): its shadow is
+        # read from the relation, not checked against the default conic's parabola.
+        relation = parse("(y + 3 + 3/H)^2 - (x^2 + y^2)*(1 + 3/H)^2")
+        monkeypatch.setattr(shadows, "CONIC_LHS", relation)
+        state = conic_shadow(default_unlimited(), [0, 3, -5])
+        assert state.shadow_coeffs == (F(1, 6), F(0), F(-3, 2))
+        assert state.points == ((0, F(-3, 2)), (3, 0), (-5, F(8, 3)))
+
     def test_unlimited_coefficient_has_no_shadow(self, monkeypatch):
         monkeypatch.setattr(shadows, "CONIC_LHS", parse("H*y + 4*y + 4 - x^2"))
         with pytest.raises(UnlimitedError):

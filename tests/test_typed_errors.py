@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import lcfield
-from lcfield import calculus, expr, sequences, shadows
+from lcfield import calculus, cli, expr, sequences, shadows
 from lcfield.errors import (
     CoercionError,
     InconsistentRelationError,
@@ -67,6 +67,11 @@ CASES = [
     (None, lambda: expr.Pow(2, Fraction(1, 2)), CoercionError, TypeError,
      "not an expression node: 2"),
     (None, lambda: expr.Neg(None), CoercionError, TypeError, "not an expression node: None"),
+    # A malformed --at binding is an invalid argument, not the bare base class.
+    (None, lambda: cli._parse_binding_list("x"), InvalidArgumentError, ValueError,
+     "binding 'x' is not of the form name=value"),
+    (None, lambda: cli._parse_binding_list("=3"), InvalidArgumentError, ValueError,
+     "binding '=3' has an empty name"),
 ] + [
     # A float is never read as a rational, and a string is never parsed.
     (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
