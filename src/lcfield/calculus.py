@@ -9,14 +9,12 @@ limit is computed; the discarded infinitesimal remainder stays visible in
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DegenerateProgressionError, InvalidArgumentError, NotInfinitesimalError
 from .expr import Expr, eval_field, free_vars
-from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational, _exact
+from .number import DEFAULT_DEPTH, EPS, LCNumber, Rational, _exact, record
 
 
 def _single_var(f: Expr) -> str:
@@ -42,7 +40,7 @@ def _second_difference(values: list[LCNumber]) -> LCNumber:
     return v2 - v1 * 2 + v0
 
 
-@dataclass(frozen=True)
+@record
 class DiffResult:
     """Derivative value together with the differential quotient it shadows."""
 
@@ -76,34 +74,15 @@ def second_derivative(f: Expr, x0: Rational, depth: int = DEFAULT_DEPTH) -> Frac
     return (second * (EPS * EPS).inv(depth)).st()
 
 
-@dataclass(frozen=True)
+@record
 class ProductRuleTrace:
-    """The product-increment computation in three stages.
+    """The increment of uv in three stages: ``expansion`` is the exact ``u*dv + v*du + du*dv``,
+    ``kept`` what survives the dominant-order reduction, and ``discarded`` the rejected
+    higher-order term ``du*dv``."""
 
-    ``expansion`` is the exact increment ``u*dv + v*du + du*dv``; ``kept``
-    is what survives the dominant-order reduction; ``discarded`` is the
-    rejected higher-order term ``du*dv``.
-    """
-
-    u0: Fraction
-    v0: Fraction
-    du: LCNumber
-    dv: LCNumber
     expansion: LCNumber
     kept: LCNumber
     discarded: LCNumber
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stages": {
-                "expansion": str(self.expansion),
-                "tlh": str(self.kept),
-                "discarded": str(self.discarded),
-            }
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def product_rule_trace(
@@ -113,22 +92,12 @@ def product_rule_trace(
     for name, d in (("du", du), ("dv", dv)):
         if not d.is_infinitesimal():
             raise NotInfinitesimalError(f"{name} = {d} is not infinitesimal")
-    u0 = Fraction(_exact(u0))
-    v0 = Fraction(_exact(v0))
-    u = LCNumber.from_rational(u0) + du
-    v = LCNumber.from_rational(v0) + dv
-    expansion = u * v - u0 * v0
-    kept = dv * u0 + du * v0
-    discarded = du * dv
-    # The rejected term must be of strictly higher order than every kept one.
-    if u0 != 0 and v0 != 0 and discarded.has_terms:
-        for part in (dv * u0, du * v0):
-            if part.has_terms:
-                assert discarded.leading_exponent > part.leading_exponent
-    return ProductRuleTrace(u0, v0, du, dv, expansion, kept, discarded)
+    u0, v0 = Fraction(_exact(u0)), Fraction(_exact(v0))
+    expansion = (du + u0) * (dv + v0) - u0 * v0
+    return ProductRuleTrace(expansion, dv * u0 + du * v0, du * dv)
 
 
-@dataclass(frozen=True)
+@record
 class SecondDifferentialReport:
     """Both sides of the second-differential relation and their difference's shadow."""
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 import operator
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Optional
 
 from .errors import (
     CoercionError,
+    InvalidArgumentError,
     NotAnNthPowerError,
     NotAPerfectSquareError,
     ParseError,
@@ -44,7 +44,7 @@ from .errors import (
     ZeroDivisionLCError,
 )
 from .number import (
-    DEFAULT_DEPTH, LCNumber, _Cursor, _data_repr, _exact, rational_nth_root, rational_text,
+    DEFAULT_DEPTH, LCNumber, _Cursor, _data_repr, _exact, rational_nth_root, rational_text, record,
 )
 
 
@@ -414,19 +414,22 @@ def eval_rational(e: Expr, binding: Mapping[str, Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class TransferFailure:
     kind: str  # "rational", "field", or "undecidable"
     binding: dict
     detail: str
 
 
-@dataclass
+@record
 class TransferReport:
-    ok: bool
     rational_trials: int
     field_trials: int
-    failures: list = field(default_factory=list)
+    failures: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     @property
     def first_counterexample(self) -> Optional[TransferFailure]:
@@ -484,6 +487,8 @@ def transfer_check(
     for; undecidable comparisons are reported as failures with their own tag
     rather than silently passed.
     """
+    if _exact(trials, (int,)) < 1:
+        raise InvalidArgumentError(f"trials must be at least 1, got {rational_text(trials)}")
     rng = random.Random(seed)
     pairs = _preorder(Sub(lhs, rhs))
     orders = {name: 1 for cls, name in pairs if cls is Var}
@@ -493,7 +498,7 @@ def transfer_check(
         if operand is Var and cls in (Pow, Sqrt):
             orders[name] = lcm(orders[name], 2 if cls is Sqrt else data.denominator)
     powers = [(name, k if k <= MAX_ROOT_ORDER else 1) for name, k in sorted(orders.items())]
-    report = TransferReport(ok=True, rational_trials=0, field_trials=0)
+    failures: list = []
 
     def probe(kind: str, draw: Callable, evaluate: Callable, differs: Callable) -> int:
         """Trials of one ring, each at a fresh binding; returns how many were decided."""
@@ -510,13 +515,12 @@ def transfer_check(
                 continue
             done += 1
             if failure is not None:
-                report.ok = False
                 shown = {k: str(LCNumber._coerce(v)) for k, v in binding.items()}
-                report.failures.append(TransferFailure(failure[0], shown, failure[1]))
+                failures.append(TransferFailure(failure[0], shown, failure[1]))
         return done
 
-    report.rational_trials = probe("rational", _random_rational, eval_rational, lambda d: d != 0)
-    report.field_trials = probe(
+    rational_trials = probe("rational", _random_rational, eval_rational, lambda d: d != 0)
+    field_trials = probe(
         "field", random_field_value, lambda e, b: eval_field(e, b, depth), lambda d: d.has_terms
     )
-    return report
+    return TransferReport(rational_trials, field_trials, failures)

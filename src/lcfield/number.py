@@ -32,7 +32,7 @@ import enum
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
@@ -97,6 +97,8 @@ def _int_nth_root(x: int, n: int) -> Optional[int]:
     """Exact n-th root of a nonnegative integer, or None."""
     if x in (0, 1):
         return x
+    if n >= x.bit_length():  # then 1 < x^(1/n) < 2
+        return None
     if n == 2:
         r = isqrt(x)
     else:
@@ -117,13 +119,21 @@ def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
     if n == 1:
         return c**p
     if c < 0 and n % 2 == 0:
-        raise NegativeRootError(f"even root of negative coefficient {rational_text(c**p)}")
+        raise NegativeRootError(f"even root of negative coefficient {_power_text(c, p)}")
     num = _int_nth_root(abs(c.numerator), n)
     den = _int_nth_root(c.denominator, n)
     if num is None or den is None:
-        text = rational_text(abs(c**p))
+        text = _power_text(abs(c), p)
         raise NotAnNthPowerError(f"{text} has no rational {rational_text(n)}-th root")
     return Fraction(-num if c < 0 else num, den) ** p
+
+
+def _power_text(c: Fraction, p: int) -> str:
+    """c**p as text, or ``(c)^(p)`` when c**p is past the digit limit."""
+    try:
+        return rational_text(c**p)
+    except InvalidArgumentError:
+        return f"({rational_text(c)})^({rational_text(p)})"
 
 
 def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
@@ -616,10 +626,25 @@ def rational_text(r: Rational) -> str:
 
 
 def _data_repr(value) -> str:
-    """``repr(value)``, with an int or a Fraction printed through :func:`_ratio`."""
+    """``repr(value)``, with an int or a Fraction, also one inside a tuple, printed
+    through :func:`_ratio`."""
     if isinstance(value, Fraction):
         return f"Fraction({_ratio(value.numerator, 1)}, {_ratio(value.denominator, 1)})"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_data_repr, value))}{',' if len(value) == 1 else ''})"
     return _ratio(value, 1) if isinstance(value, int) else repr(value)
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{f.name}={_data_repr(getattr(self, f.name))}" for f in fields(self))
+    return f"{type(self).__qualname__}({shown})"
+
+
+def record(cls):
+    """``dataclass(frozen=True)`` with the repr a dataclass prints, but every field printed
+    through :func:`_data_repr`, so that past the digit limit it raises InvalidArgumentError."""
+    cls.__repr__ = _record_repr
+    return dataclass(frozen=True, repr=False)(cls)
 
 
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:

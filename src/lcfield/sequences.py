@@ -17,7 +17,6 @@ kinds where every predicate is decidable:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Union
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
 from .number import (
-    DEFAULT_DEPTH, ONE, LCNumber, Rational, _data_repr, _exact, poly_text, rational_text,
+    DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text, rational_text, record,
 )
 
 #: Leading decimal digits of the supported declared constants.
@@ -53,7 +52,7 @@ def _at(p: LCNumber, n: Rational) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RationalFunctionOfN:
     """The sequence n |-> p(n)/q(n).
 
@@ -89,7 +88,7 @@ class RationalFunctionOfN:
         return f"({p})/({q})"
 
 
-@dataclass(frozen=True)
+@record
 class DecimalTruncation:
     """Truncations of a declared constant: a_n = first n decimal digits."""
 
@@ -125,16 +124,12 @@ class DecimalTruncation:
 RationalSequence = Union[RationalFunctionOfN, DecimalTruncation]
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class Decomposition:
     """Constant part plus the eventual sign of the residue null sequence."""
 
     standard_part: Union[Fraction, str]
     residue_sign: int  # -1, 0, or +1
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f.name}={_data_repr(getattr(self, f.name))}" for f in fields(self))
-        return f"Decomposition({shown})"
 
 
 # ---------------------------------------------------------------------------

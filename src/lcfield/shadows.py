@@ -11,7 +11,6 @@ coefficient, and the squaring chain behind it is checked as an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from typing import Iterable
@@ -23,7 +22,7 @@ from .errors import (
 from .expr import (
     Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var, _lookup, eval_field, fold, parse
 )
-from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact, rational_text
+from .number import DEFAULT_DEPTH, EPS, ONE, ZERO, LCNumber, Rational, _exact, rational_text, record
 
 #: Left side of the twice-squared ellipse equation (vertex (0,-1), foci at
 #: the origin and (0,H)); the locus is its zero set.
@@ -79,12 +78,10 @@ def line_LH_slope(H: LCNumber | None = None, depth: int = DEFAULT_DEPTH) -> LCNu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConicState:
-    """The deformed conic for a given unlimited H, with its parabola shadow."""
+    """The shadow parabola of the deformed conic, with its points at the sampled abscissas."""
 
-    H: LCNumber
-    lhs_expr: Expr
     shadow_coeffs: tuple[Fraction, Fraction, Fraction]  # y0 = A*x0^2 + B*x0 + C
     points: tuple[tuple[Fraction, Fraction], ...]
 
@@ -161,7 +158,7 @@ def conic_shadow(
     points = tuple((x0, A * x0 * x0 + B * x0 + C) for x0 in xs)
     if len(set(xs)) < 3:
         raise InvalidArgumentError("need at least 3 distinct sample abscissas")
-    return ConicState(H, CONIC_LHS, (A, B, C), points)
+    return ConicState((A, B, C), points)
 
 
 def rederive_conic_chain() -> tuple[Fraction, Fraction, Fraction]:

@@ -1,6 +1,5 @@
 """Differentiation against the symbolic oracle, and the differential traces."""
 
-import json
 import random
 from fractions import Fraction as F
 
@@ -167,11 +166,10 @@ class TestProductRuleTrace:
         assert trace.discarded.leading_exponent > (dv * u0).leading_exponent
         assert trace.discarded.leading_exponent > (du * v0).leading_exponent
 
-    def test_json_stage_names(self):
-        trace = product_rule_trace(2, 3, EPS, EPS)
-        payload = json.loads(trace.to_json())
-        assert set(payload["stages"]) == {"expansion", "tlh", "discarded"}
-        assert payload["stages"]["discarded"] == "eps^(2)"
+    def test_repr(self):
+        assert repr(product_rule_trace(2, 3, EPS, EPS)) == (
+            "ProductRuleTrace(expansion=LCNumber('5*eps + eps^(2)'), kept=LCNumber('5*eps'), "
+            "discarded=LCNumber('eps^(2)'))")
 
 
 def sympy_second_differential_residual(v_src, a, g_src, t0):

@@ -274,6 +274,16 @@ class TestTransferCheck:
         assert (last.kind, last.binding, last.detail) == (
             "field", {"x": "-eps^(-3)", "y": "-7/9"}, "difference -16/9*eps^(-933/1001)")
 
+    def test_report_keeps_only_what_the_probes_decide(self):
+        assert repr(transfer_check(parse("x"), parse("x"), trials=1)) == (
+            "TransferReport(rational_trials=1, field_trials=1, failures=[])")
+        report = transfer_check(parse("x"), parse("x + 1"), trials=1)
+        assert not report.ok and report.failures[0] is report.first_counterexample
+        assert repr(report) == (
+            "TransferReport(rational_trials=1, field_trials=1, failures=["
+            "TransferFailure(kind='rational', binding={'x': '3/7'}, detail='difference -1'), "
+            "TransferFailure(kind='field', binding={'x': '-1/9'}, detail='difference -1')])")
+
     def test_undecidable_evaluation_is_a_failure(self):
         # A multi-term x leaves x*(1/x) - 1 zero up to O(eps^16); pinned before one-walk draws.
         report = transfer_check(parse("1/(x*(1/x) - 1)"), parse("0"))

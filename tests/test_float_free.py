@@ -1,5 +1,9 @@
-"""Computation never touches a float: no module of lcfield names ``float``, writes a
-float literal or calls a float-valued ``math`` function."""
+"""Two rules every module of lcfield keeps, checked on its syntax tree.
+
+Computation never touches a float: no module names ``float``, writes a float literal
+or calls a float-valued ``math`` function.  No module holds an ``assert``: ``python -O``
+strips it, so a check that must hold raises an LCError instead.
+"""
 
 import ast
 import pathlib
@@ -37,6 +41,21 @@ def test_the_guard_sees_each_kind_of_float_use():
     src = "import math\nfrom math import log2, gcd\nx = float(3) + 0.5 + math.sqrt(2)\n"
     assert sorted(float_uses(ast.parse(src))) == [
         (2, "math.log2"), (3, "0.5"), (3, "float"), (3, "math.sqrt")]
+
+
+def asserts(tree):
+    """The line of every ``assert`` statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_assert(path):
+    assert asserts(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_guard_sees_an_assert():
+    src = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+    assert asserts(ast.parse(src)) == [3]
 
 
 def test_every_module_is_checked():

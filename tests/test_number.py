@@ -12,7 +12,7 @@ from conftest import (
     exact_numbers, exponents, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals,
     rationals,
 )
-from lcfield import expr, number, sequences, shadows
+from lcfield import calculus, expr, number, sequences, shadows
 from lcfield.errors import (
     CoercionError,
     InvalidArgumentError,
@@ -332,6 +332,17 @@ class TestRoots:
         monkeypatch.setattr(number, "_int_nth_root", recording_root)
         assert number.rational_nth_root(c, 210, 209) == F(7, 4) ** 209
         assert radicands and max(radicands) <= c.numerator.bit_length()
+
+    @given(st.integers(2, 2**80), st.integers(0, 200))
+    @settings(max_examples=200)
+    def test_no_integer_root_below_the_bit_length(self, x, extra):
+        # For x >= 2 and n >= x.bit_length(), 1 < x^(1/n) < 2: no Newton step is taken.
+        assert number._int_nth_root(x, x.bit_length() + extra) is None
+
+    def test_huge_root_index_is_refused_at_once(self):
+        with pytest.raises(NotAnNthPowerError) as info:
+            number.rational_nth_root(F(2), 10**18)
+        assert str(info.value) == "2 has no rational 1000000000000000000-th root"
 
     @given(nonzero_numbers, nonzero_rationals)
     @settings(max_examples=200)
@@ -711,12 +722,36 @@ class TestDigitLimit:
         lambda: shadows._relation(expr.Pow(expr.Var("x"), F(1, 10**4400)), EPS.inv(), 16),
         lambda: repr(expr.Lit(F(10**4400))),
         lambda: repr(sequences.Decomposition(F(10**4400), 1)),
+        # Every result record prints its fields through the typed printer.
+        lambda: repr(calculus.derivative(parse_expr("x^3"), 10**2200)),
+        lambda: repr(shadows.conic_shadow(shadows.default_unlimited(), [10**2200, 0, 1])),
+        lambda: repr(sequences.DecimalTruncation("pi", 5, F(10**4400))),
     ])
     def test_text_past_the_limit_is_typed(self, call):
         with pytest.raises(InvalidArgumentError) as info:
             call()
         assert isinstance(info.value, ValueError)
         assert str(info.value).startswith("Exceeds the limit (4300 digits) for integer string")
+
+    @pytest.mark.parametrize("value", [
+        (F(1),), (), (1, F(-2, 3)), ((F(1), 2), (F(3, 4),)), ("pi", -1), F(-5, 2), 7, True,
+    ])
+    def test_data_repr_is_repr(self, value):
+        assert number._data_repr(value) == repr(value)
+
+    def test_radicand_past_the_limit_is_named_by_its_power(self):
+        # (9/2)^4999 has more than 4300 digits; the error keeps its class and names it as a power.
+        with pytest.raises(NotAnNthPowerError) as info:
+            expr.eval_rational(parse_expr("x^(4999/5000)"), {"x": F(9, 2)})
+        assert str(info.value) == "(9/2)^(4999) has no rational 5000-th root"
+        with pytest.raises(NegativeRootError) as info:
+            number.rational_nth_root(F(-9, 2), 5000, 4999)
+        assert str(info.value) == "even root of negative coefficient (-9/2)^(4999)"
+
+    def test_transfer_check_redraws_past_a_large_radicand(self):
+        e = parse_expr("x^(4999/5000)")
+        report = expr.transfer_check(e, e)
+        assert (report.ok, report.rational_trials, report.field_trials) == (True, 20, 20)
 
 
 # References: the leading-term decisions as they were before `LCNumber._lead`, one body

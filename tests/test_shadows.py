@@ -72,6 +72,13 @@ class TestLine:
 
 
 class TestConicShadow:
+    def test_repr(self):
+        # The tuples of Fractions, nested ones too, print as repr prints them.
+        assert repr(conic_shadow(default_unlimited(), (0, 2, 4))) == (
+            "ConicState(shadow_coeffs=(Fraction(1, 4), Fraction(0, 1), Fraction(-1, 1)), "
+            "points=((Fraction(0, 1), Fraction(-1, 1)), (Fraction(2, 1), Fraction(0, 1)), "
+            "(Fraction(4, 1), Fraction(3, 1))))")
+
     def test_sample_points(self):
         state = conic_shadow(default_unlimited(), [0, 1, -1, 2, -2, 4, -4])
         assert state.shadow_coeffs == (F(1, 4), F(0), F(-1))

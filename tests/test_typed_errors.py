@@ -72,6 +72,15 @@ CASES = [
      "binding 'x' is not of the form name=value"),
     (None, lambda: cli._parse_binding_list("=3"), InvalidArgumentError, ValueError,
      "binding '=3' has an empty name"),
+    # transfer_check runs an int number of trials, at least one.
+    (None, lambda: expr.transfer_check(_X, _X, trials=2.5), CoercionError, TypeError,
+     "expected int, got float"),
+    (None, lambda: expr.transfer_check(_X, _X, trials=True), CoercionError, TypeError,
+     "expected int, got bool"),
+    (None, lambda: expr.transfer_check(_X, _X, trials=0), InvalidArgumentError, ValueError,
+     "trials must be at least 1, got 0"),
+    (None, lambda: expr.transfer_check(_X, _X, trials=-3), InvalidArgumentError, ValueError,
+     "trials must be at least 1, got -3"),
 ] + [
     # A float is never read as a rational, and a string is never parsed.
     (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
