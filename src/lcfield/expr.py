@@ -63,6 +63,15 @@ class Node:
     OPERANDS: tuple = ()
     DATA: Optional[str] = None
 
+    def __init__(self, *values):
+        """The fields in slot order, operands first; each operand must be a node."""
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}")
+        operands = len(self.OPERANDS)
+        for i, value in enumerate(values):
+            object.__setattr__(self, fields[i], _checked(value) if i < operands else value)
+
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
@@ -96,20 +105,6 @@ def _node(name: str, operands: tuple, data: Optional[str]) -> type:
     """The node type ``name`` with the given operand fields and data field."""
     fields = operands + ((data,) if data else ())
     cls = type(name, (Node,), {"__slots__": fields, "OPERANDS": operands, "DATA": data})
-    # The slots' own setters pass Node.__setattr__ by, at a dataclass __init__'s cost.
-    setters = [cls.__dict__[f].__set__ for f in fields]
-    for i, set_ in enumerate(setters[: len(operands)]):  # an operand must be a node
-        setters[i] = lambda self, node, set_=set_: set_(self, _checked(node))
-    set0, set1 = setters + [None] * (2 - len(fields))
-    if set1 is None:
-        def __init__(self, a):
-            set0(self, a)
-    else:
-        def __init__(self, a, b):
-            set0(self, a)
-            set1(self, b)
-    __init__.__qualname__ = f"{name}.__init__"
-    cls.__init__ = __init__
     text = f"{name}({', '.join(f + '={}' for f in fields)})".format
     # The data field comes last; it prints as repr would, through the typed printer.
     _REPR[cls] = (lambda *args: text(*args[:-1], _data_repr(args[-1]))) if data else text
@@ -184,25 +179,22 @@ class _Parser(_Cursor):
     nesting = 0
 
     def expr(self) -> Expr:
-        node = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+        return self.binary(self.term, {"+": Add, "-": Sub})
 
     def term(self) -> Expr:
-        node = self.unary()
-        while self.at("*") or self.at("/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        return self.binary(self.unary, {"*": Mul, "/": Div})
+
+    def binary(self, operand: Callable[[], Expr], ops: dict) -> Expr:
+        """``operand { op operand }`` for the operators in ``ops``, folded to the left."""
+        node = operand()
+        while (tok := self.peek()) is not None and tok[1] in ops:
+            self.next()
+            node = ops[tok[1]](node, operand())
         return node
 
     def unary(self) -> Expr:
         signs = 0
-        while self.at("-"):
-            self.next()
+        while self.accept("-"):
             signs += 1
         node = self.power()
         for _ in range(signs):
@@ -211,23 +203,15 @@ class _Parser(_Cursor):
 
     def power(self) -> Expr:
         node = self.atom()
-        while self.at("^"):
-            self.next()
+        while self.accept("^"):
             node = Pow(node, self.exponent())
         return node
 
     def exponent(self) -> Fraction:
-        paren = self.at("(")
+        paren = self.accept("(")
+        val = -self.number() if self.accept("-") else self.number()
         if paren:
-            self.next()
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        val = self.number()
-        if paren:
-            if self.at("/"):
-                self.next()
+            if self.accept("/"):
                 den_tok = self.peek()
                 den = self.number()
                 if den.denominator != 1:
@@ -236,7 +220,7 @@ class _Parser(_Cursor):
                     raise ParseError("zero denominator", den_tok[2])
                 val /= den
             self.expect(")")
-        return sign * val
+        return val
 
     def number(self) -> Fraction:
         tok = self.next()

@@ -129,11 +129,17 @@ def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
 
 
 def _power_text(c: Fraction, p: int) -> str:
-    """c**p as text, or ``(c)^(p)`` when c**p is past the digit limit."""
-    try:
-        return rational_text(c**p)
-    except InvalidArgumentError:
-        return f"({rational_text(c)})^({rational_text(p)})"
+    """c**p as text, or ``(c)^(p)`` when c**p is past the digit limit L.  With b the larger
+    bit length of c's numerator and denominator, |p|*(b-1) >= 4L puts a part of c**p at
+    2^(4L) > 10^L or more, so that case is decided without computing c**p."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where Python has no limit
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if not limit or abs(p) * (bits - 1) < 4 * limit:
+        try:
+            return rational_text(c**p)
+        except InvalidArgumentError:
+            pass
+    return f"({rational_text(c)})^({rational_text(p)})"
 
 
 def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
@@ -711,6 +717,12 @@ class _Cursor:
         tok = self.peek()
         return tok is not None and tok[1] == text
 
+    def accept(self, text: str) -> bool:
+        """Step past the next token if its text is ``text``; say whether it was."""
+        found = self.at(text)
+        self.i += found
+        return found
+
     def next(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
@@ -732,9 +744,8 @@ class _NumberParser(_Cursor):
         tok = self.next()
         if tok[0] != "int":
             raise ParseError(f"expected a number, got {tok[1]!r}", tok[2])
-        if not self.at("/"):
+        if not self.accept("/"):
             return Fraction(int(tok[1]))
-        self.next()
         den = self.next()
         if den[0] != "int":
             raise ParseError("expected a denominator", den[2])
@@ -745,16 +756,10 @@ class _NumberParser(_Cursor):
     def eps_part(self) -> Fraction:
         """``eps`` with an optional exponent, bare or in parentheses."""
         self.expect("eps")
-        if not self.at("^"):
+        if not self.accept("^"):
             return Fraction(1)
-        self.next()
-        paren = self.at("(")
-        if paren:
-            self.next()
-        negate = self.at("-")
-        if negate:
-            self.next()
-        val = -self.fraction() if negate else self.fraction()
+        paren = self.accept("(")
+        val = -self.fraction() if self.accept("-") else self.fraction()
         if paren:
             self.expect(")")
         return val
@@ -763,8 +768,7 @@ class _NumberParser(_Cursor):
         """Returns (exponent, coefficient); exponent None flags an O() tail."""
         if self.peek() is None:
             raise ParseError("expected a term", len(self.src))
-        if self.at("O"):
-            self.next()
+        if self.accept("O"):
             self.expect("(")
             exp = self.eps_part()
             self.expect(")")
@@ -772,9 +776,7 @@ class _NumberParser(_Cursor):
         if self.at("eps"):
             return self.eps_part(), Fraction(1)
         coeff = self.fraction()
-        if self.at("*"):
-            self.next()
-        elif not self.at("eps"):
+        if not self.accept("*") and not self.at("eps"):
             return Fraction(0), coeff
         return self.eps_part(), coeff
 

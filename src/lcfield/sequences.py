@@ -42,9 +42,10 @@ CONSTANT_DIGITS = {
 N = LCNumber.monomial(1, -1)
 
 
-def _at(p: LCNumber, n: Rational) -> Fraction:
-    """Value of a polynomial in n at the index n."""
-    return sum((c * Fraction(n) ** int(-e) for e, c in p.terms), Fraction(0))
+def _at(p: LCNumber, n: int) -> Fraction:
+    """Value of a polynomial in n at the index n.  ``make`` keeps p on the lattice Z, so
+    each stored triple ``(e, a, b)`` is the term (a/b)*n^(-e); no Fraction view is built."""
+    return sum((Fraction(a * n**-e, b) for e, a, b in p._ints), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Two rules every module of lcfield keeps, checked on its syntax tree.
+"""Rules every module of lcfield keeps, the first two checked on its syntax tree.
 
 Computation never touches a float: no module names ``float``, writes a float literal
 or calls a float-valued ``math`` function.  No module holds an ``assert``: ``python -O``
-strips it, so a check that must hold raises an LCError instead.
+strips it, so a check that must hold raises an LCError instead.  No module warns: the
+``filterwarnings`` line in pyproject.toml makes a warning raised from lcfield an error.
 """
 
 import ast
 import pathlib
+import warnings
 
 import pytest
 
@@ -56,6 +58,11 @@ def test_module_has_no_assert(path):
 def test_the_guard_sees_an_assert():
     src = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
     assert asserts(ast.parse(src)) == [3]
+
+
+def test_a_warning_from_lcfield_is_an_error():
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit("x", DeprecationWarning, "number.py", 1, module="lcfield.number")
 
 
 def test_every_module_is_checked():

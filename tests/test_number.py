@@ -748,6 +748,23 @@ class TestDigitLimit:
             number.rational_nth_root(F(-9, 2), 5000, 4999)
         assert str(info.value) == "even root of negative coefficient (-9/2)^(4999)"
 
+    def test_huge_radicand_is_named_without_computing_it(self, monkeypatch):
+        # 2^999999999 would take seconds and hundreds of MB only to be refused by str.
+        power = F.__pow__
+
+        def bounded(a, b, *modulo):
+            if isinstance(b, int) and abs(b) > 10**6:
+                raise AssertionError(f"computed a power {b}")
+            return power(a, b, *modulo)
+
+        monkeypatch.setattr(F, "__pow__", bounded)
+        with pytest.raises(NotAnNthPowerError) as info:
+            number.rational_nth_root(F(2), 10**9, 10**9 - 1)
+        assert str(info.value) == "(2)^(999999999) has no rational 1000000000-th root"
+        with pytest.raises(NegativeRootError) as info:
+            number.rational_nth_root(F(-2), 10**9, 10**9 - 1)
+        assert str(info.value) == "even root of negative coefficient (-2)^(999999999)"
+
     def test_transfer_check_redraws_past_a_large_radicand(self):
         e = parse_expr("x^(4999/5000)")
         report = expr.transfer_check(e, e)

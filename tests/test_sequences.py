@@ -326,3 +326,13 @@ class TestTermDomain:
             with pytest.raises(IndexError):
                 s.term(n)
         assert [s.term(n) for n in (2, 4, 5)] == [F(-1), F(1, 3), F(1, 8)]
+
+    def test_term_reads_the_stored_form(self, monkeypatch):
+        s, t = seq("(n^3+2*n+1)/(n^2+5)"), seq("n^(-2) - 3/(2*n)")
+
+        def no_view(self):
+            raise AssertionError("term built a Fraction view")
+
+        monkeypatch.setattr(LCNumber, "terms", property(no_view))
+        assert s.term(7) == F(179, 27) and s.term(1) == F(2, 3)
+        assert [t.term(n) for n in (1, 2, 3)] == [F(-1, 2), F(-1, 2), F(-7, 18)]

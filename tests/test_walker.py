@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import rationals
 from lcfield import expr
 from lcfield.errors import (
+    CoercionError,
     NotAnNthPowerError,
     NotAPerfectSquareError,
     UnboundVariableError,
@@ -304,11 +305,33 @@ class TestNodes:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: Add(Var("x")), lambda: Neg(), lambda: Pow(Var("x"), F(2), F(3)), lambda: Var()],
+        [lambda: Add(Var("x")), lambda: Neg(), lambda: Pow(Var("x"), F(2), F(3)), lambda: Var(),
+         lambda: Sub(Var("x")), lambda: Sub(Var("x"), Var("y"), Var("z")),
+         lambda: Mul(), lambda: Mul(Var("x"), Var("y"), Var("z")),
+         lambda: Div(Var("x")), lambda: Div(Var("x"), Var("y"), Var("z")),
+         lambda: Sqrt(), lambda: Sqrt(Var("x"), Var("y")), lambda: Lit(), lambda: Lit(F(1), F(2))],
     )
     def test_wrong_arity_is_a_type_error(self, make):
         with pytest.raises(TypeError):
             make()
+
+    @pytest.mark.parametrize(
+        "cls, slot",
+        [(cls, slot) for cls in (Add, Sub, Mul, Div) for slot in (0, 1)]
+        + [(Neg, 0), (Sqrt, 0), (Pow, 0)],
+    )
+    def test_every_operand_must_be_a_node(self, cls, slot):
+        values = [Var("x")] * len(cls.OPERANDS) + ([F(2)] if cls.DATA else [])
+        values[slot] = "y"
+        with pytest.raises(CoercionError, match="^not an expression node: 'y'$"):
+            cls(*values)
+
+    def test_one_constructor_builds_every_node(self):
+        assert all(cls.__init__ is Node.__init__ for cls in Node.__subclasses__())
+        # The data fields take values that are not nodes.
+        assert Var("x").name == "x" and Lit(F(1, 3)).value == F(1, 3)
+        tree = Pow(Var("x"), F(-1, 2))
+        assert (tree.base, tree.exponent) == (Var("x"), F(-1, 2))
 
     def test_every_total_table_covers_every_node_type(self, monkeypatch):
         rings = []
