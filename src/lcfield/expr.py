@@ -64,7 +64,10 @@ class Node:
     DATA: Optional[str] = None
 
     def __init__(self, *values):
-        """The fields in slot order, operands first; each operand must be a node."""
+        """The fields in slot order, operands first; each operand must be a node.  The base
+        class has no row in any table, so it cannot be built."""
+        if type(self) is Node:
+            raise CoercionError("Expr is the base of the node types and cannot be built")
         fields = self.__slots__
         if len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}")

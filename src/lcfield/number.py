@@ -11,16 +11,21 @@ means a *smaller* magnitude: ``eps^2`` is infinitely smaller than ``eps``, and
 rational bound (all exponents ``>= T`` are unknown) or ``None``, meaning the
 stored terms are the whole number.
 
-The stored form is integer data on one lattice (1/D)Z of exponents.  D is
-the least common denominator of the exponents and the truncation order (1
-when there are none).  Each term is a triple ``(e, n, d)`` for
-``(n/d)*eps^(e/D)``, with ``n/d`` reduced and ``d > 0``, ascending in e; the
-truncation order is the integer ``T*D``, or ``None``.  So equal values are
-stored identically.  Arithmetic, comparison and the text form work on this
-form.  Only roots refine D; operands on two lattices meet on their lcm, each
-rescaled by an integer factor.  ``terms`` (``(exponent, coefficient)`` pairs
-of ``Fraction``) and ``trunc`` (a ``Fraction`` or ``None``) are read-only
-views, built from the stored form when read.
+The stored form ``(D, Q, ((e, n), ...), T)`` is integer data on one lattice
+(1/D)Z of exponents, over one common denominator Q of the coefficients.  D
+is the least common denominator of the exponents and the truncation order
+(1 when there are none).  Each term is a pair ``(e, n)`` for
+``(n/Q)*eps^(e/D)``, with n nonzero, ascending in e.  Q is positive, Q and
+the numerators have no common factor, and Q is 1 when there are no terms.
+The truncation order is the integer ``T*D``, or ``None``.  So equal values
+are stored identically.  Arithmetic, comparison and the text form work on
+this form: ``+`` meets two denominators by scaling each numerator list with
+a cofactor of their lcm, ``*`` is an integer convolution over Qa*Qb, and each
+ends with one content gcd.  Only roots refine D; operands on two lattices
+meet on their lcm, each rescaled by an integer factor.  ``terms``
+(``(exponent, coefficient)`` pairs of ``Fraction``) and ``trunc`` (a
+``Fraction`` or ``None``) are read-only views, built from the stored form
+when read.
 
 Values are immutable; every operation returns a fresh canonical value.  All
 arithmetic is exact — there is no floating point anywhere in this module.
@@ -173,11 +178,12 @@ def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
     return g[:n]  # nothing for n < 1
 
 
-def _rescale(ints: tuple, T: Optional[int], s: int) -> tuple:
-    """Terms and truncation order moved to a lattice s times finer."""
+def _rescale(ints: tuple, T: Optional[int], s: int, k: int = 1) -> tuple:
+    """Terms and truncation order moved to a lattice s times finer, the numerators
+    times k (over a denominator k times larger)."""
     if s == 1:
-        return ints, T
-    return tuple([(e * s, n, d) for e, n, d in ints]), None if T is None else T * s
+        return (ints if k == 1 else [(e, n * k) for e, n in ints]), T
+    return [(e * s, n * k) for e, n in ints], None if T is None else T * s
 
 
 def _exact(x, kinds: tuple = (int, Fraction)):
@@ -191,12 +197,12 @@ def _exact(x, kinds: tuple = (int, Fraction)):
 class LCNumber:
     """A truncated series in the infinitesimal ``eps`` with rational data.
 
-    Stored on the lattice (1/D)Z (see the module docstring): ``_D`` is D,
-    ``_ints`` the ascending ``(e, n, d)`` triples, ``_T`` the truncation order
-    over D or None.
+    Stored on the lattice (1/D)Z over one denominator Q, as ``(D, Q, ((e, n), ...), T)``
+    (see the module docstring): ``_D`` is D, ``_Q`` is Q, ``_ints`` the ascending
+    ``(e, n)`` pairs, ``_T`` the truncation order over D or None.
     """
 
-    __slots__ = ("_D", "_ints", "_T")
+    __slots__ = ("_D", "_Q", "_ints", "_T")
 
     def __new__(
         cls,
@@ -211,40 +217,57 @@ class LCNumber:
             trunc = _exact(trunc)
         D = lcm(*[q.denominator for q in acc], 1 if trunc is None else trunc.denominator)
         T = None if trunc is None else trunc.numerator * (D // trunc.denominator)
-        ints = sorted((q.numerator * (D // q.denominator), c.numerator, c.denominator)
+        # Terms cut off by T may leave a factor of Q in every numerator; _canon divides it out.
+        Q = lcm(*[c.denominator for c in acc.values()])
+        ints = sorted((q.numerator * (D // q.denominator), c.numerator * (Q // c.denominator))
                       for q, c in acc.items() if c)
         if T is not None:
             ints = ints[: bisect_left(ints, (T,))]
-        return cls._canon(D, tuple(ints), T)
+        return cls._canon(D, Q, ints, T)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, D: int, ints: tuple, T: Optional[int]) -> "LCNumber":
-        """Trusted: the stored form as it is, already on its least lattice."""
+    def _make(cls, D: int, Q: int, ints: tuple, T: Optional[int]) -> "LCNumber":
+        """Trusted: the stored form as it is, already on its least lattice and in lowest terms."""
         # Kernel tuples are built from lists: one built from a generator is resized after
         # allocation, which fills CPython's per-size tuple free lists (~3 MB more peak RSS).
         x = object.__new__(cls)
         x._D = D
+        x._Q = Q
         x._ints = ints
         x._T = T
         return x
 
     @classmethod
-    def _canon(cls, D: int, ints: tuple, T: Optional[int]) -> "LCNumber":
-        """Trusted: ``ints`` are ascending ``(e, n, d)`` triples on (1/D)Z below T, each
-        n/d nonzero and reduced with d > 0; D is reduced to the least common denominator."""
+    def _canon(cls, D: int, Q: int, ints: list, T: Optional[int]) -> "LCNumber":
+        """Trusted: ``ints`` are ascending ``(e, n)`` pairs on (1/D)Z below T, each n nonzero,
+        over Q > 0.  Q and the numerators are divided by their content gcd(Q, *numerators),
+        then :meth:`_least_lattice` reduces D."""
+        if Q > 1:
+            # Numerators from the last: a series' last coefficient usually has Q itself as its
+            # reduced denominator, and math.gcd computes nothing more once the gcd is 1.
+            g = gcd(Q, *[t[1] for t in reversed(ints)])
+            if g > 1:
+                Q //= g
+                ints = [(e, n // g) for e, n in ints]
+        return cls._least_lattice(D, Q, ints, T)
+
+    @classmethod
+    def _least_lattice(cls, D: int, Q: int, ints: list, T: Optional[int]) -> "LCNumber":
+        """Trusted: as for :meth:`_canon`, with Q already prime to the numerators.  D is
+        reduced to the least common denominator of the exponents and T."""
         if D > 1:
             g = gcd(D, T or 0, *[t[0] for t in ints])
             if g > 1:
                 D //= g
-                ints = tuple([(e // g, n, d) for e, n, d in ints])
+                ints = [(e // g, n) for e, n in ints]
                 T = None if T is None else T // g
-        return cls._make(D, ints, T)
+        return cls._make(D, Q, tuple(ints), T)
 
     @classmethod
     def _constant(cls, r: Rational) -> "LCNumber":
-        return cls._make(1, ((0, r.numerator, r.denominator),) if r else (), None)
+        return cls._make(1, r.denominator, ((0, r.numerator),) if r else (), None)
 
     @classmethod
     def from_rational(cls, r: Rational) -> "LCNumber":
@@ -255,15 +278,15 @@ class LCNumber:
         return cls([(exponent, coeff)])
 
     def __reduce__(self):
-        return LCNumber._make, (self._D, self._ints, self._T)
+        return LCNumber._make, (self._D, self._Q, self._ints, self._T)
 
     # -- basic structure ---------------------------------------------------
 
     @property
     def terms(self) -> tuple:
         """The known terms as ascending ``(exponent, coefficient)`` Fraction pairs."""
-        D = self._D
-        return tuple([(Fraction(e, D), Fraction(n, d)) for e, n, d in self._ints])
+        D, Q = self._D, self._Q
+        return tuple([(Fraction(e, D), Fraction(n, Q)) for e, n in self._ints])
 
     @property
     def trunc(self) -> Optional[Fraction]:
@@ -281,10 +304,10 @@ class LCNumber:
         return not self._ints and self._T is None
 
     def _lead(self, undecidable: str, known_above: Optional[Rational] = None):
-        """The leading term as integers ``(e, n, d)``: exponent e over the lattice
-        denominator, coefficient n/d.  None for an exact zero, or for a term-less
-        value whose truncation order T exceeds ``known_above``.  Otherwise no known
-        term decides: UndecidableError, with T filled in for ``{T}`` in ``undecidable``."""
+        """The leading term as stored, ``(e, n)``: exponent e over the lattice denominator,
+        coefficient n/Q.  None for an exact zero, or for a term-less value whose truncation
+        order T exceeds ``known_above``.  Otherwise no known term decides: UndecidableError,
+        with T filled in for ``{T}`` in ``undecidable``."""
         if self._ints:
             return self._ints[0]
         if self._T is None or (known_above is not None and self._T > known_above * self._D):
@@ -301,13 +324,13 @@ class LCNumber:
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the dominant term; 0 for the zero element."""
         lead = self._lead("zero up to O(eps^({T})); leading coefficient undecidable")
-        return Fraction(0) if lead is None else Fraction(lead[1], lead[2])
+        return Fraction(0) if lead is None else Fraction(lead[1], self._Q)
 
     def coefficient(self, exponent: Rational) -> Fraction:
         q = _exact(exponent) * self._D
-        for e, n, d in self._ints:
+        for e, n in self._ints:
             if e == q:
-                return Fraction(n, d)
+                return Fraction(n, self._Q)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
@@ -318,23 +341,23 @@ class LCNumber:
 
     def __add__(self, other: Scalar) -> "LCNumber":
         b = self._coerce(other)
-        D, x, Ta, y, Tb = self._D, self._ints, self._T, b._ints, b._T
-        if b._D != D:
-            L = lcm(D, b._D)
-            (x, Ta), (y, Tb), D = _rescale(x, Ta, L // D), _rescale(y, Tb, L // b._D), L
+        D, Q, x, Ta, y, Tb = self._D, self._Q, self._ints, self._T, b._ints, b._T
+        if b._D != D or b._Q != Q:
+            L, Q = lcm(D, b._D), lcm(Q, b._Q)
+            x, Ta = _rescale(x, Ta, L // D, Q // self._Q)
+            y, Tb = _rescale(y, Tb, L // b._D, Q // b._Q)
+            D = L
         T = _min_trunc(Ta, Tb)
         if T is not None:
             x, y = x[: bisect_left(x, (T,))], y[: bisect_left(y, (T,))]
-        # One merge of the two ascending term tuples.
+        # One merge of the two ascending term tuples; numerators over one Q add as integers.
         out, i, j = [], 0, 0
         while i < len(x) and j < len(y):
             a, c = x[i], y[j]
             if a[0] == c[0]:
-                (_, n, d), (_, m, f) = a, c
-                n, d = (n + m, d) if d == f else (n * f + m * d, d * f)
+                n = a[1] + c[1]
                 if n:
-                    g = gcd(n, d)
-                    out.append((a[0], n // g, d // g))
+                    out.append((a[0], n))
                 i, j = i + 1, j + 1
             elif a[0] < c[0]:
                 out.append(a)
@@ -342,12 +365,14 @@ class LCNumber:
             else:
                 out.append(c)
                 j += 1
-        return LCNumber._canon(D, tuple(out) + x[i:] + y[j:], T)
+        out += x[i:]
+        out += y[j:]
+        return LCNumber._canon(D, Q, out, T)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LCNumber":
-        return LCNumber._make(self._D, tuple([(e, -n, d) for e, n, d in self._ints]), self._T)
+        return LCNumber._make(self._D, self._Q, tuple([(e, -n) for e, n in self._ints]), self._T)
 
     def __sub__(self, other: Scalar) -> "LCNumber":
         return self + (-self._coerce(other))
@@ -357,22 +382,21 @@ class LCNumber:
 
     def __mul__(self, other: Scalar) -> "LCNumber":
         a, b = self, self._coerce(other)
-        if a.is_zero or b.is_zero:
-            return LCNumber._make(1, (), None)
-        # An exact constant factor only scales the coefficients.
-        if a._T is None and len(a._ints) == 1 and not a._ints[0][0]:
+        if a._T is None and len(a._ints) == 1:  # an exact one-term factor goes second
             a, b = b, a
-        if b._T is None and len(b._ints) == 1 and not b._ints[0][0]:
-            (_, c, k), out = b._ints[0], []
-            for e, n, d in a._ints:
-                n, d = n * c, d * k
-                g = gcd(n, d)
-                out.append((e, n // g, d // g))
-            return LCNumber._make(a._D, tuple(out), a._T)
         D, x, Ta, y, Tb = a._D, a._ints, a._T, b._ints, b._T
+        if (not x and Ta is None) or (not y and Tb is None):  # an exact zero factor
+            return LCNumber._make(1, 1, (), None)
         if b._D != D:
             L = lcm(D, b._D)
             (x, Ta), (y, Tb), D = _rescale(x, Ta, L // D), _rescale(y, Tb, L // b._D), L
+        if Tb is None and len(y) == 1:
+            # An exact one-term factor c*eps^s only shifts the exponents and scales the
+            # numerators; the part of the content that c shares with Qa is divided out first.
+            (s, c), = y
+            g = gcd(c, a._Q)
+            out = [(e + s, n * (c // g)) for e, n in x]
+            return LCNumber._canon(D, a._Q // g * b._Q, out, None if Ta is None else Ta + s)
         # O(eps^Ta) times a factor whose exponents are all >= lb contributes
         # unknowns from eps^(Ta+lb) on; a term-less factor's lb is its own T.
         lo_a = x[0][0] if x else Ta
@@ -384,29 +408,17 @@ class LCNumber:
             bound = _min_trunc(bound, Tb + lo_a)
         # With no bound, both factors have terms.
         top = x[-1][0] + y[-1][0] + 1 if bound is None else bound
-        # A sum's denominator is the lcm of its own products' ones, reduced once at the end.
+        # The product's numerators over Qa*Qb are integer sums of numerator products.
+        Q = a._Q * b._Q
         prod: dict = {}
-        for e, na, da in x:
-            for f, nb, db in y:
+        for e, na in x:
+            for f, nb in y:
                 k = e + f
                 if k >= top:
                     break
-                n, d = na * nb, da * db
-                if k in prod:
-                    s, t = prod[k]
-                    if t == d:
-                        n += s
-                    else:
-                        m = lcm(t, d)
-                        n, d = s * (m // t) + n * (m // d), m
-                prod[k] = n, d
-        out = []
-        for k in sorted(prod):
-            n, d = prod[k]
-            if n:
-                g = gcd(n, d)
-                out.append((k, n // g, d // g))
-        return LCNumber._canon(D, tuple(out), bound)
+                prod[k] = prod.get(k, 0) + na * nb
+        out = [t for t in sorted(prod.items()) if t[1]]
+        return LCNumber._canon(D, Q, out, bound)
 
     __rmul__ = __mul__
 
@@ -474,28 +486,30 @@ class LCNumber:
         if lead is None:
             if p < 0:
                 raise ZeroDivisionLCError("inverse of zero")
-            return LCNumber._make(1, (), None)
+            return LCNumber._make(1, 1, (), None)
         # On the lattice (1/(D*q))Z, the result's leading exponent lam/D * p/q is lam*p.
-        (lam, cn, cd), ints, T = lead, self._ints, self._T
-        r0 = rational_nth_root(Fraction(cn, cd), q, p)
+        (lam, n0), ints, T = lead, self._ints, self._T
+        r0 = rational_nth_root(Fraction(n0, self._Q), q, p)
         mu, D = lam * p, self._D * q
         if len(ints) == 1:
-            term = ((mu, r0.numerator, r0.denominator),)
-            return LCNumber._canon(D, term, None if T is None else mu + (T - lam) * q)
+            T = None if T is None else mu + (T - lam) * q
+            return LCNumber._least_lattice(D, r0.denominator, [(mu, r0.numerator)], T)
         # Offsets from lam, the step and the bound are on the operand's lattice.
-        step = gcd(*[e - lam for e, _, _ in ints[1:]])
+        step = gcd(*[e - lam for e, _ in ints[1:]])
         bound = depth * step if T is None else min(depth * step, T - lam)
-        # u = sum a_j * eps^(j*step), a_j = c_j / c0; the terms at or above the bound never matter.
+        # u = sum a_j * eps^(j*step), a_j = c_j / c0 = n_j / n_0 over the one Q; the terms at
+        # or above the bound never matter.
         rel = []
-        for e, n, d in ints[1:]:
+        for e, n in ints[1:]:
             if e - lam >= bound:
                 break
-            n, d = n * cd, d * cn
-            g = gcd(n, d) if d > 0 else -gcd(n, d)
-            rel.append(((e - lam) // step, n // g, d // g))
+            g = gcd(n, n0) if n0 > 0 else -gcd(n, n0)
+            rel.append(((e - lam) // step, n // g, n0 // g))
         series = _binomial_series(rel, p, q, -(-bound // step), (r0.numerator, r0.denominator))
-        out = [(mu + k * step * q, n, d) for k, (n, d) in enumerate(series) if n]
-        return LCNumber._canon(D, tuple(out), mu + bound * q)
+        # Over the lcm of reduced denominators the numerators have no content to divide out.
+        Q = lcm(*[d for _, d in series])
+        out = [(mu + k * step * q, n * (Q // d)) for k, (n, d) in enumerate(series) if n]
+        return LCNumber._least_lattice(D, Q, out, mu + bound * q)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)
@@ -532,14 +546,15 @@ class LCNumber:
             other = LCNumber._constant(other)
         if not isinstance(other, LCNumber):
             return NotImplemented
-        return self._ints == other._ints and self._T == other._T and self._D == other._D
+        return (self._ints == other._ints and self._Q == other._Q and self._T == other._T
+                and self._D == other._D)
 
     def __hash__(self) -> int:
         # An exact constant equals its Fraction, so it hashes as one.
         x = self._ints
         if self._T is None and (not x or len(x) == 1 and x[0][0] == 0):
-            return hash(Fraction(x[0][1], x[0][2])) if x else 0
-        return hash((self._D, x, self._T))
+            return hash(Fraction(x[0][1], self._Q)) if x else 0
+        return hash((self._D, self._Q, x, self._T))
 
     def st(self) -> Fraction:
         """Standard part (shadow): the unique rational infinitely close to self.
@@ -551,7 +566,7 @@ class LCNumber:
             return Fraction(0)
         if lead[0] < 0:
             raise UnlimitedError("standard part of an unlimited number")
-        return Fraction(lead[1], lead[2])
+        return Fraction(lead[1], self._Q)
 
     def tlh(self) -> "LCNumber":
         """Keep only the dominant (lowest-exponent) term; discard the rest.
@@ -562,7 +577,7 @@ class LCNumber:
         lead = self._lead("zero up to O(eps^({T})); dominant term unknown")
         if lead is None:
             raise ZeroInputError("no dominant term in zero")
-        return LCNumber._canon(self._D, (lead,), None)
+        return LCNumber._canon(self._D, self._Q, [lead], None)
 
     def is_infinitesimal(self) -> bool:
         """True when |self| is smaller than every positive rational (0 included)."""
@@ -654,9 +669,10 @@ def record(cls):
 
 
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:
-    """The summand ``(n/d)*name`` as a ``(negative, text)`` pair; ``name`` is empty
-    for a constant, and a coefficient of magnitude 1 is left out."""
-    mag = _ratio(abs(n), d)
+    """The summand ``(n/d)*name`` as a ``(negative, text)`` pair, for d > 0; ``name`` is
+    empty for a constant, and a coefficient of magnitude 1 is left out."""
+    g = gcd(n, d)
+    mag = _ratio(abs(n) // g, d // g)
     return n < 0, mag if not name else name if mag == "1" else f"{mag}*{name}"
 
 
@@ -667,9 +683,9 @@ def _over(e: int, D: int) -> str:
 
 
 def render(a: LCNumber) -> str:
-    D = a._D
-    summands = [_summand(n, d, "" if e == 0 else "eps" if e == D else f"eps^({_over(e, D)})")
-                for e, n, d in a._ints]
+    D, Q = a._D, a._Q
+    summands = [_summand(n, Q, "" if e == 0 else "eps" if e == D else f"eps^({_over(e, D)})")
+                for e, n in a._ints]
     if a._T is not None:
         summands.append((False, f"O(eps^({_over(a._T, D)}))"))
     return _signed_sum(summands)

@@ -44,8 +44,9 @@ N = LCNumber.monomial(1, -1)
 
 def _at(p: LCNumber, n: int) -> Fraction:
     """Value of a polynomial in n at the index n.  ``make`` keeps p on the lattice Z, so
-    each stored triple ``(e, a, b)`` is the term (a/b)*n^(-e); no Fraction view is built."""
-    return sum((Fraction(a * n**-e, b) for e, a, b in p._ints), Fraction(0))
+    each stored pair ``(e, a)`` is the term (a/Q)*n^(-e) over p's one denominator Q; the
+    sum is one Fraction, and no Fraction view is built."""
+    return Fraction(sum([a * n**-e for e, a in p._ints]), p._Q)
 
 
 # ---------------------------------------------------------------------------

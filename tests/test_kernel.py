@@ -14,7 +14,7 @@ from math import ceil, gcd
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, Rational
+from sympy import QQ, Rational, nextprime
 from sympy.polys.ring_series import rs_nth_root, rs_pow, rs_series_inversion
 from sympy.polys.rings import ring
 
@@ -392,24 +392,29 @@ def test_integer_loops_match_the_fraction_loops(x, y, depth, alpha, k, n):
 
 
 # ---------------------------------------------------------------------------
-# The stored form: a lattice denominator D, integer (e, n, d) triples and an
-# integer truncation order, the Fraction views built only when read
+# The stored form: a lattice denominator D, one coefficient denominator Q,
+# integer (e, n) pairs and an integer truncation order, the Fraction views
+# built only when read
 # ---------------------------------------------------------------------------
 
 
 def _stored(x):
-    return x._D, x._ints, x._T
+    return x._D, x._Q, x._ints, x._T
 
 
 def _assert_canonical(r):
-    D, ints, T = _stored(r)
+    D, Q, ints, T = _stored(r)
     assert type(D) is int and D >= 1 and (T is None or type(T) is int), _stored(r)
+    assert type(Q) is int and Q >= 1, _stored(r)
+    assert type(ints) is tuple and all(type(t) is tuple and len(t) == 2 for t in ints), ints
     assert all(type(v) is int for t in ints for v in t), ints
     assert all(a[0] < b[0] for a, b in zip(ints, ints[1:])), ints
-    assert all(n != 0 and d > 0 and gcd(n, d) == 1 for _, n, d in ints), ints
-    assert T is None or all(e < T for e, _, _ in ints), (ints, T)
+    assert all(n != 0 for _, n in ints), ints
+    # Q and the numerators are in lowest terms, and a value with no terms has Q = 1.
+    assert gcd(Q, *[n for _, n in ints]) == 1 and (ints or Q == 1), _stored(r)
+    assert T is None or all(e < T for e, _ in ints), (ints, T)
     # D is the least common denominator of the exponents and the truncation order.
-    assert gcd(D, T or 0, *[e for e, _, _ in ints]) == 1, _stored(r)
+    assert gcd(D, T or 0, *[e for e, _ in ints]) == 1, _stored(r)
     rebuilt = LCNumber(r.terms, r.trunc)
     assert rebuilt == r and _stored(rebuilt) == _stored(r) and hash(rebuilt) == hash(r), str(r)
 
@@ -438,9 +443,12 @@ def test_lattice_coarsens_when_the_fine_terms_go():
     root = LCNumber([(2, 4), (3, 1)]).nth_root(2, 8)  # 2*eps + 1/4*eps^(2) - ... on Z
     assert root._D == 1 and root == LCNumber(root.terms, root.trunc)
     total = LCNumber([(0, 1), (F(1, 2), 1)]) + LCNumber([(F(1, 2), -1)], 3)
-    assert _stored(total) == (1, ((0, 1, 1),), 3) and str(total) == "1 + O(eps^(3))"
+    assert _stored(total) == (1, 1, ((0, 1),), 3) and str(total) == "1 + O(eps^(3))"
     cut = LCNumber([(0, 1), (F(5, 2), 1)]) + LCNumber([], 2)
-    assert _stored(cut) == (1, ((0, 1, 1),), 2)
+    assert _stored(cut) == (1, 1, ((0, 1),), 2)
+    mixed = LCNumber([(0, F(1, 2)), (1, F(1, 3))])  # one denominator, 6, for both terms
+    assert _stored(mixed) == (1, 6, ((0, 3), (1, 2)), None)
+    assert _stored(mixed - LCNumber([(1, F(1, 3))])) == (1, 2, ((0, 1),), None)
 
 
 @given(wide_operands(), wide_operands(), st.integers(1, 16))
@@ -464,3 +472,77 @@ def test_monomial_factor_matches_the_fraction_loop(x, c, q):
     for got, want in ((x * m, fraction_mul(x, m)), (m * x, fraction_mul(m, x))):
         _same(got, want)
         _assert_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# One denominator per number at its worst: every coefficient over its own
+# prime near 10^30, so that Q is their product and only the content gcd of a
+# sum that cancels can shrink it back
+# ---------------------------------------------------------------------------
+
+
+def _primes_above(start, count):
+    out = []
+    for _ in range(count):
+        start = nextprime(start)
+        out.append(start)
+    return out
+
+
+_PRIMES = _primes_above(10**30, 12)
+_numerators = st.integers(-10**6, 10**6).filter(bool)
+
+
+@st.composite
+def prime_operands(draw, n):
+    """One to five terms on the lattice 1, 1/6 or 1/1000, maybe an O() tail.  Each
+    coefficient is over its own prime near 10^30; the leading one is an n-th power,
+    so that its n-th root exists."""
+    step = F(1, draw(st.sampled_from([1, 6, 1000])))
+    primes = draw(st.permutations(_PRIMES))
+    offsets = sorted(draw(st.sets(st.integers(1, 12), max_size=4)))
+    lead = draw(st.integers(-6, 6)) * step
+    terms = [(lead, F(draw(_numerators), primes[0]) ** n)]
+    terms += [(lead + o * step, F(draw(_numerators), p)) for o, p in zip(offsets, primes[1:])]
+    trunc = None
+    if draw(st.booleans()):
+        trunc = lead + (max(offsets, default=0) + draw(st.integers(1, 6))) * step
+    return LCNumber(terms, trunc)
+
+
+@st.composite
+def prime_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    return n, draw(prime_operands(n)), draw(prime_operands(n)), draw(st.integers(1, 12))
+
+
+@given(prime_cases())
+@settings(max_examples=120, deadline=None)
+def test_prime_denominators_match_the_fraction_loops(case):
+    n, x, y, depth = case
+    pairs = [
+        ("+", lambda: x + y, lambda: fraction_add(x, y)),
+        ("-", lambda: x - y,
+         lambda: fraction_add(x, LCNumber([(q, -c) for q, c in y.terms], y.trunc))),
+        ("*", lambda: x * y, lambda: fraction_mul(x, y)),
+        ("inv", lambda: x.inv(depth), lambda: fraction_pow_rational(x, -1, depth)),
+        ("nth_root", lambda: x.nth_root(n, depth),
+         lambda: fraction_pow_rational(x, F(1, n), depth)),
+    ]
+    for name, new, ref in pairs:
+        got, want = outcome(new), outcome(ref)
+        try:
+            _same(got, want)
+            assert isinstance(got, LCNumber), got  # the leading n-th power has its root
+            _assert_canonical(got)
+        except AssertionError as exc:
+            raise AssertionError(f"{name}: {exc}") from None
+
+
+@given(prime_cases())
+@settings(max_examples=120, deadline=None)
+def test_a_sum_that_cancels_shrinks_the_denominator_back(case):
+    _, x, y, _ = case
+    x, y = LCNumber(x.terms), LCNumber(y.terms)  # exact: no tail hides a term of y
+    assert _stored((x + y) - y) == _stored(x)
+    assert _stored((y + x) - y) == _stored(x)

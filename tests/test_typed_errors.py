@@ -67,6 +67,13 @@ CASES = [
     (None, lambda: expr.Pow(2, Fraction(1, 2)), CoercionError, TypeError,
      "not an expression node: 2"),
     (None, lambda: expr.Neg(None), CoercionError, TypeError, "not an expression node: None"),
+    # The base node type has no row in any table, so it is refused when built.
+    (None, lambda: expr.eval_field(expr.Expr(), {}), CoercionError, TypeError,
+     "Expr is the base of the node types and cannot be built"),
+    (None, lambda: expr.render(expr.Add(expr.Expr(), expr.Var("x"))), CoercionError, TypeError,
+     "Expr is the base of the node types and cannot be built"),
+    (None, lambda: repr(expr.Expr()), CoercionError, TypeError,
+     "Expr is the base of the node types and cannot be built"),
     # A malformed --at binding is an invalid argument, not the bare base class.
     (None, lambda: cli._parse_binding_list("x"), InvalidArgumentError, ValueError,
      "binding 'x' is not of the form name=value"),
