@@ -60,7 +60,7 @@ def derivative(
     passed instead, and for rational-function expressions the result does
     not depend on the choice.
     """
-    h = EPS if increment is None else increment
+    h = EPS if increment is None else LCNumber._coerce(increment)
     if not h.has_terms or not h.is_infinitesimal():
         raise NotInfinitesimalError("increment must be a nonzero infinitesimal")
     at_x0, shifted = _progression(f, x0, h, depth, 2)
@@ -89,6 +89,7 @@ def product_rule_trace(
     u0: Rational, v0: Rational, du: LCNumber, dv: LCNumber
 ) -> ProductRuleTrace:
     """Expand (u+du)(v+dv) - uv and split it into kept and discarded parts."""
+    du, dv = LCNumber._coerce(du), LCNumber._coerce(dv)
     for name, d in (("du", du), ("dv", dv)):
         if not d.is_infinitesimal():
             raise NotInfinitesimalError(f"{name} = {d} is not infinitesimal")

@@ -267,7 +267,7 @@ class _Parser(_Cursor):
 
 
 def parse(src: str) -> Expr:
-    return _Parser(src).parse()
+    return _Parser(_exact(src, (str,))).parse()
 
 
 # ---------------------------------------------------------------------------

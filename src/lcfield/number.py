@@ -39,6 +39,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Union
 
@@ -194,6 +195,7 @@ def _exact(x, kinds: tuple = (int, Fraction)):
     raise CoercionError(f"expected {names}, got {type(x).__name__}")
 
 
+@total_ordering
 class LCNumber:
     """A truncated series in the infinitesimal ``eps`` with rational data.
 
@@ -529,16 +531,8 @@ class LCNumber:
         return Comparison.GT if lead[1] > 0 else Comparison.LT
 
     def __lt__(self, other: Scalar) -> bool:
+        # <=, > and >= come from total_ordering; compare is EQ only for equal stored forms.
         return self.compare(other) is Comparison.LT
-
-    def __le__(self, other: Scalar) -> bool:
-        return self.compare(other) is not Comparison.GT
-
-    def __gt__(self, other: Scalar) -> bool:
-        return self.compare(other) is Comparison.GT
-
-    def __ge__(self, other: Scalar) -> bool:
-        return self.compare(other) is not Comparison.LT
 
     def __eq__(self, other) -> bool:
         # Canonical-form equality: same stored form; a bool is its int.
@@ -633,10 +627,14 @@ def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
 
 
 def _ratio(n: int, d: int) -> str:
-    """n/d as ``str(Fraction(n, d))`` prints it, for a reduced pair with d > 0.  The one place
-    an int becomes text: past the digit limit, InvalidArgumentError with CPython's message."""
+    """n/d as ``str(Fraction(n, d))`` prints it, for d > 0; n is printed as it is for d = 1,
+    so that a bool prints as ``repr`` prints it.  The one place an int becomes text: past
+    the digit limit, InvalidArgumentError with CPython's message."""
     try:
-        return str(n) if d == 1 else f"{n}/{d}"
+        if d == 1:
+            return str(n)
+        g = gcd(n, d)
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
     except ValueError as exc:
         raise InvalidArgumentError(str(exc)) from None
 
@@ -671,23 +669,16 @@ def record(cls):
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:
     """The summand ``(n/d)*name`` as a ``(negative, text)`` pair, for d > 0; ``name`` is
     empty for a constant, and a coefficient of magnitude 1 is left out."""
-    g = gcd(n, d)
-    mag = _ratio(abs(n) // g, d // g)
+    mag = _ratio(abs(n), d)
     return n < 0, mag if not name else name if mag == "1" else f"{mag}*{name}"
-
-
-def _over(e: int, D: int) -> str:
-    """e/D as ``str(Fraction(e, D))`` prints it."""
-    g = gcd(e, D)
-    return _ratio(e // g, D // g)
 
 
 def render(a: LCNumber) -> str:
     D, Q = a._D, a._Q
-    summands = [_summand(n, Q, "" if e == 0 else "eps" if e == D else f"eps^({_over(e, D)})")
+    summands = [_summand(n, Q, "" if e == 0 else "eps" if e == D else f"eps^({_ratio(e, D)})")
                 for e, n in a._ints]
     if a._T is not None:
-        summands.append((False, f"O(eps^({_over(a._T, D)}))"))
+        summands.append((False, f"O(eps^({_ratio(a._T, D)}))"))
     return _signed_sum(summands)
 
 
@@ -819,6 +810,6 @@ class _NumberParser(_Cursor):
 
 def parse(src: str) -> LCNumber:
     """Parse the canonical text form (with optional whitespace)."""
-    if not src.strip():
+    if not _exact(src, (str,)).strip():
         raise ParseError("empty number literal", 0)
     return _NumberParser(src).parse()

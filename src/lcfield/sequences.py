@@ -67,6 +67,7 @@ class RationalFunctionOfN:
 
     @classmethod
     def make(cls, p: LCNumber, q: LCNumber) -> "RationalFunctionOfN":
+        p, q = LCNumber._coerce(p), LCNumber._coerce(q)
         if q.is_zero:
             raise ZeroDivisionLCError("zero denominator polynomial")
         exact = p.trunc is None and q.trunc is None
@@ -270,7 +271,7 @@ _SEQUENCE_RING = {
 
 def parse_sequence(src: str) -> RationalSequence:
     """Parse "poly(n)/poly(n)" (expression syntax in n) or "const:pi[:digits]"."""
-    m = _CONST_RE.fullmatch(src)
+    m = _CONST_RE.fullmatch(_exact(src, (str,)))
     if m:
         tag, count = m.groups()
         if tag not in CONSTANT_DIGITS:

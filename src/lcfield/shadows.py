@@ -36,13 +36,16 @@ def default_unlimited() -> LCNumber:
     return EPS.inv()
 
 
-def _require_unlimited(H: LCNumber) -> None:
+def _require_unlimited(H: LCNumber) -> LCNumber:
+    """H as an LCNumber, once it is decidably unlimited."""
+    H = LCNumber._coerce(H)
     try:
         limited = H.is_limited()
     except UndecidableError:
         raise NotUnlimitedError(f"H = {H} is not decidably unlimited") from None
     if limited:
         raise NotUnlimitedError(f"H = {H} is limited")
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +60,7 @@ def line_LH_shadow(
 
     Always lands on the horizontal line y = 1.
     """
-    if H is None:
-        H = default_unlimited()
-    _require_unlimited(H)
+    H = _require_unlimited(default_unlimited() if H is None else H)
     x = Fraction(_exact(x))
     y = eval_field(parse("1 - x/H"), {"x": x, "H": H}, depth)
     return (x, y.st())
@@ -67,9 +68,7 @@ def line_LH_shadow(
 
 def line_LH_slope(H: LCNumber | None = None, depth: int = DEFAULT_DEPTH) -> LCNumber:
     """Slope of the oblique line; infinitesimal (and negative) for unlimited H."""
-    if H is None:
-        H = default_unlimited()
-    _require_unlimited(H)
+    H = _require_unlimited(default_unlimited() if H is None else H)
     return -H.inv(depth)
 
 
@@ -94,7 +93,7 @@ def status_transitus_residual(
     Its standard part is (y+2)^2 - (x^2+y^2), which vanishes exactly when
     (x, y) lies on the shadow parabola.
     """
-    _require_unlimited(H)
+    H = _require_unlimited(H)
     return eval_field(CONIC_LHS, {"x": _exact(x), "y": _exact(y), "H": H}, depth)
 
 
@@ -144,7 +143,7 @@ def conic_shadow(
     H: LCNumber, samples: Iterable[Rational], depth: int = DEFAULT_DEPTH
 ) -> ConicState:
     """Shadow parabola of the deformed conic, read from CONIC_LHS, at finite abscissas."""
-    _require_unlimited(H)
+    H = _require_unlimited(H)
     shadow = {m: s for m, c in _relation(CONIC_LHS, H, depth).items() if (s := c.st())}
     if any(j > 1 for _, j in shadow):
         raise InconsistentRelationError("shadow relation is not linear in y")
@@ -191,7 +190,7 @@ def conic_point(
 
     Raises UndecidableError when no root is decidably limited at this depth.
     """
-    _require_unlimited(H)
+    H = _require_unlimited(H)
     x = Fraction(_exact(x))
     relation = _relation(CONIC_LHS, H, depth)
     if max((j for _, j in relation), default=0) != 2:
@@ -220,8 +219,7 @@ def conic_chain_residuals(
     conic: the radical equation, its square, the isolated-radical form, and
     the final polynomial form.
     """
-    _require_unlimited(H)
-    y = conic_point(H, x, depth)
+    y = conic_point(H, x, depth)  # which also checks H
     x = LCNumber.from_rational(x)
     A = x * x + y * y
     B = x * x + (y - H) * (y - H)

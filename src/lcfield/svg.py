@@ -15,11 +15,17 @@ from .number import LCNumber, Rational, rational_text
 WIDTH = 640
 HEIGHT = 480
 
-_HEADER = (
+# One template per element kind, filled with coordinates that _fmt has printed.
+_DOCUMENT = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
+    "{}\n</svg>\n"
 )
+_LINE = '<line x1="{}" y1="{}" x2="{}" y2="{}" stroke="{}" stroke-width="{}"/>'
+_DOT = '<circle cx="{}" cy="{}" r="5" fill="#d62728"/>'
+_LABEL = '<text x="{}" y="{}"{} font-size="{}" font-family="monospace">{}</text>'
+_CENTERED = ' text-anchor="middle"'
 
 
 def _fmt(v: Rational) -> str:
@@ -54,64 +60,38 @@ def parabola_svg(
         # [-6, 6] x [-2, 10] on the pane inside a 40-pixel margin; SVG y grows downward.
         return _map(x, -6, 6, 40, WIDTH - 40), _map(y, -2, 10, HEIGHT - 40, 40)
 
-    parts = [_HEADER]
     # Axes.
-    y_axis_x, x_axis_y = pixel(0, 0)
-    parts.append(
-        f'<line x1="40" y1="{_fmt(x_axis_y)}" x2="{WIDTH - 40}" y2="{_fmt(x_axis_y)}" '
-        'stroke="#888" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(y_axis_x)}" y1="40" x2="{_fmt(y_axis_x)}" y2="{HEIGHT - 40}" '
-        'stroke="#888" stroke-width="1"/>'
-    )
+    y_axis_x, x_axis_y = map(_fmt, pixel(0, 0))
+    parts = [_LINE.format(40, x_axis_y, WIDTH - 40, x_axis_y, "#888", 1),
+             _LINE.format(y_axis_x, 40, y_axis_x, HEIGHT - 40, "#888", 1)]
     # Parabola polyline: 96 steps of 1/8 across [-6, 6].
     curve = (pixel(x, (A * x + B) * x + C) for x in (Fraction(t, 8) for t in range(-48, 49)))
     samples = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in curve)
-    parts.append(
-        f'<polyline points="{samples}" fill="none" stroke="#1f77b4" '
-        'stroke-width="2"/>'
-    )
+    parts.append(f'<polyline points="{samples}" fill="none" stroke="#1f77b4" stroke-width="2"/>')
     # Sample points.
     for x, y in points:
         cx, cy = pixel(_clamp(x), _clamp(y))
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5" fill="#d62728"/>')
-        parts.append(
-            f'<text x="{_fmt(cx + 8)}" y="{_fmt(cy - 8)}" font-size="14" '
-            f'font-family="monospace">({rational_text(x)},{rational_text(y)})</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_DOT.format(_fmt(cx), _fmt(cy)))
+        label = f"({rational_text(x)},{rational_text(y)})"
+        parts.append(_LABEL.format(_fmt(cx + 8), _fmt(cy - 8), "", 14, label))
+    return _DOCUMENT.format("\n".join(parts))
 
 
 def zoom_svg(value: LCNumber) -> str:
     """Two panes: the standard number line, and an eps-scale pane around the
     value's standard part where its infinitesimal part becomes visible."""
+    value = LCNumber._coerce(value)
     st = value.st()
     residual = value - st
-    mid = WIDTH // 2
-    parts = [_HEADER]
-    parts.append(
-        f'<line x1="{_fmt(mid)}" y1="20" x2="{_fmt(mid)}" y2="{HEIGHT - 20}" '
-        'stroke="#ccc" stroke-width="1"/>'
-    )
-    mid_y = HEIGHT // 2
+    mid, mid_y = WIDTH // 2, HEIGHT // 2
+    parts = [_LINE.format(_fmt(mid), 20, _fmt(mid), HEIGHT - 20, "#ccc", 1)]
 
     def pane(left: int, right: int, title: str, pos: Rational, label: str) -> None:
-        parts.append(
-            f'<text x="{_fmt(Fraction(left + right, 2))}" y="60" text-anchor="middle" '
-            f'font-size="16" font-family="monospace">{title}</text>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(left)}" y1="{_fmt(mid_y)}" x2="{_fmt(right)}" '
-            f'y2="{_fmt(mid_y)}" stroke="#333" stroke-width="2"/>'
-        )
-        cx = _map(pos, -2, 2, left, right)
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(mid_y)}" r="5" fill="#d62728"/>')
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(mid_y + 28)}" text-anchor="middle" '
-            f'font-size="14" font-family="monospace">{label}</text>'
-        )
+        y, cx = _fmt(mid_y), _fmt(_map(pos, -2, 2, left, right))
+        parts.append(_LABEL.format(_fmt(Fraction(left + right, 2)), 60, _CENTERED, 16, title))
+        parts.append(_LINE.format(_fmt(left), y, _fmt(right), y, "#333", 2))
+        parts.append(_DOT.format(cx, y))
+        parts.append(_LABEL.format(cx, _fmt(mid_y + 28), _CENTERED, 14, label))
 
     # Left pane: the standard scale; the whole monad sits on one point.
     pane(60, mid - 40, "standard scale", 0, rational_text(st))
@@ -120,5 +100,4 @@ def zoom_svg(value: LCNumber) -> str:
     if residual.has_terms:
         label, pos = str(residual), _clamp(residual.terms[0][1], 2)
     pane(mid + 40, WIDTH - 60, f"eps-scale around {rational_text(st)}", pos, label)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _DOCUMENT.format("\n".join(parts))

@@ -79,9 +79,9 @@ def _refused_argvs():
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TestExitCodes"]
     for fn in cls.body:
         for dec in getattr(fn, "decorator_list", ()):
-            if not (isinstance(dec, ast.Call) and ast.unparse(dec.func) == "pytest.mark.parametrize"):
+            if not isinstance(dec, ast.Call) or ast.unparse(dec.func) != "pytest.mark.parametrize":
                 continue
-            if ast.literal_eval(dec.args[0]).replace(" ", "").split(",")[0] != "argv":
+            if ast.literal_eval(dec.args[0]).split(",")[0] != "argv":
                 continue
             for node in dec.args[1].elts:
                 try:

@@ -1,9 +1,10 @@
-"""Rules every module of lcfield keeps, the first two checked on its syntax tree.
+"""Rules every module of lcfield keeps, the first three checked on its syntax tree.
 
 Computation never touches a float: no module names ``float``, writes a float literal
 or calls a float-valued ``math`` function.  No module holds an ``assert``: ``python -O``
-strips it, so a check that must hold raises an LCError instead.  No module warns: the
-``filterwarnings`` line in pyproject.toml makes a warning raised from lcfield an error.
+strips it, so a check that must hold raises an LCError instead.  No module but
+``__init__.py``, which re-exports, imports a name that it does not use.  No module warns:
+the ``filterwarnings`` line in pyproject.toml makes a warning raised from lcfield an error.
 """
 
 import ast
@@ -58,6 +59,33 @@ def test_module_has_no_assert(path):
 def test_the_guard_sees_an_assert():
     src = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
     assert asserts(ast.parse(src)) == [3]
+
+
+def unused_imports(tree):
+    """(line, name) for every name an import binds that the module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
+def test_module_uses_every_import(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_guard_sees_an_unused_import():
+    src = ("from __future__ import annotations\nimport os.path, re\n"
+           "from math import gcd as g, lcm\ndef f(x: lcm) -> int:\n    from sys import argv\n"
+           "    return os.sep\n")
+    assert unused_imports(ast.parse(src)) == [(2, "re"), (3, "g"), (5, "argv")]
 
 
 def test_a_warning_from_lcfield_is_an_error():

@@ -10,15 +10,17 @@ from fractions import Fraction
 import pytest
 
 import lcfield
-from lcfield import calculus, cli, expr, sequences, shadows
+from lcfield import calculus, cli, expr, number, sequences, shadows, svg
 from lcfield.errors import (
     CoercionError,
     InconsistentRelationError,
     InvalidArgumentError,
     LCError,
+    NotInfinitesimalError,
+    NotUnlimitedError,
     UndefinedTermError,
 )
-from lcfield.number import EPS
+from lcfield.number import EPS, LCNumber
 
 
 _H = shadows.default_unlimited
@@ -88,6 +90,25 @@ CASES = [
      "trials must be at least 1, got 0"),
     (None, lambda: expr.transfer_check(_X, _X, trials=-3), InvalidArgumentError, ValueError,
      "trials must be at least 1, got -3"),
+    # An int or Fraction where an LCNumber is asked for is a constant, and meets the check
+    # that the function makes of its argument.
+    (None, lambda: shadows.conic_shadow(5, [0, 2, 4]), NotUnlimitedError, Exception,
+     "H = 5 is limited"),
+    (None, lambda: shadows.conic_point(5, 1), NotUnlimitedError, Exception, "H = 5 is limited"),
+    (None, lambda: shadows.conic_chain_residuals(1, 0), NotUnlimitedError, Exception,
+     "H = 1 is limited"),
+    (None, lambda: shadows.line_LH_slope(Fraction(7, 2)), NotUnlimitedError, Exception,
+     "H = 7/2 is limited"),
+    (None, lambda: calculus.derivative(expr.parse("x^2"), 1, increment=1), NotInfinitesimalError,
+     Exception, "increment must be a nonzero infinitesimal"),
+    (None, lambda: calculus.product_rule_trace(1, 2, 1, EPS), NotInfinitesimalError, Exception,
+     "du = 1 is not infinitesimal"),
+    (None, lambda: calculus.product_rule_trace(1, 2, EPS, Fraction(1, 3)), NotInfinitesimalError,
+     Exception, "dv = 1/3 is not infinitesimal"),
+] + [
+    # A text parser reads only a str.
+    (None, lambda parse=parse: parse(None), CoercionError, TypeError, "expected str, got NoneType")
+    for parse in (number.parse, expr.parse, sequences.parse_sequence)
 ] + [
     # A float is never read as a rational, and a string is never parsed.
     (None, call, CoercionError, TypeError, f"expected int or Fraction, got {kind}")
@@ -112,6 +133,14 @@ CASES = [
         (lambda: sequences.DecimalTruncation("pi", 5, "1/2"), "str"),
         (lambda: EPS.coefficient(1.0), "float"),
         (lambda: EPS.coefficient(True), "bool"),
+        # Nor is either read as an LCNumber.
+        (lambda: shadows.line_LH_slope(2.0), "float"),
+        (lambda: shadows.status_transitus_residual("x", 0, 0), "str"),
+        (lambda: shadows.conic_shadow(None, [0, 2, 4]), "NoneType"),
+        (lambda: calculus.derivative(expr.parse("x^2"), 1, increment=0.5), "float"),
+        (lambda: calculus.product_rule_trace(1, 2, EPS, "eps"), "str"),
+        (lambda: svg.zoom_svg(0.5), "float"),
+        (lambda: sequences.RationalFunctionOfN.make(1, 0.5), "float"),
     ]
 ] + [
     # A sequence index is an int: never rounded, never parsed.
@@ -130,6 +159,12 @@ def test_analysis_errors_are_typed(monkeypatch, patch, call, typed, builtin, mes
         call()
     assert isinstance(info.value, LCError) and isinstance(info.value, builtin)
     assert str(info.value).startswith(message)
+
+
+def test_an_int_or_fraction_argument_is_a_constant():
+    assert svg.zoom_svg(3) == svg.zoom_svg(LCNumber.from_rational(3))
+    assert sequences.RationalFunctionOfN.make(1, Fraction(2)) == sequences.RationalFunctionOfN.make(
+        LCNumber.from_rational(1), LCNumber.from_rational(2))
 
 
 def test_new_error_classes_are_exported():
