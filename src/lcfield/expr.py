@@ -44,7 +44,7 @@ from .errors import (
     ZeroDivisionLCError,
 )
 from .number import (
-    DEFAULT_DEPTH, LCNumber, _Cursor, _data_repr, _exact, rational_nth_root, rational_text, record,
+    DEFAULT_DEPTH, LCNumber, _Cursor, _exact, _typed, rational_nth_root, rational_text, record,
 )
 
 
@@ -88,13 +88,13 @@ class Node:
         return hash(tuple(_preorder(self)))
 
     def __repr__(self):
-        return fold(self, _REPR)
+        return _typed(fold, self, _REPR)
 
     def __reduce__(self):
         return _evaluate, (_preorder(self), _NODES)
 
 
-_REPR: dict = {}  # each node type to a rule that prints the text a dataclass would
+_REPR: dict = {}  # each node type to the format of a dataclass repr; its data prints by {!r}
 
 
 def _checked(node):
@@ -108,9 +108,8 @@ def _node(name: str, operands: tuple, data: Optional[str]) -> type:
     """The node type ``name`` with the given operand fields and data field."""
     fields = operands + ((data,) if data else ())
     cls = type(name, (Node,), {"__slots__": fields, "OPERANDS": operands, "DATA": data})
-    text = f"{name}({', '.join(f + '={}' for f in fields)})".format
-    # The data field comes last; it prints as repr would, through the typed printer.
-    _REPR[cls] = (lambda *args: text(*args[:-1], _data_repr(args[-1]))) if data else text
+    shown = [f + "={}" for f in operands] + ([data + "={!r}"] if data else [])
+    _REPR[cls] = f"{name}({', '.join(shown)})".format
     return cls
 
 

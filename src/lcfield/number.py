@@ -37,7 +37,7 @@ import enum
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -627,9 +627,8 @@ def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
 
 
 def _ratio(n: int, d: int) -> str:
-    """n/d as ``str(Fraction(n, d))`` prints it, for d > 0; n is printed as it is for d = 1,
-    so that a bool prints as ``repr`` prints it.  The one place an int becomes text: past
-    the digit limit, InvalidArgumentError with CPython's message."""
+    """n/d as ``str(Fraction(n, d))`` prints it, for d > 0.  The one place an int becomes text
+    for ``str``: past the digit limit, InvalidArgumentError with CPython's message."""
     try:
         if d == 1:
             return str(n)
@@ -644,26 +643,19 @@ def rational_text(r: Rational) -> str:
     return _ratio(r.numerator, r.denominator)
 
 
-def _data_repr(value) -> str:
-    """``repr(value)``, with an int or a Fraction, also one inside a tuple, printed
-    through :func:`_ratio`."""
-    if isinstance(value, Fraction):
-        return f"Fraction({_ratio(value.numerator, 1)}, {_ratio(value.denominator, 1)})"
-    if isinstance(value, tuple):
-        return f"({', '.join(map(_data_repr, value))}{',' if len(value) == 1 else ''})"
-    return _ratio(value, 1) if isinstance(value, int) else repr(value)
-
-
-def _record_repr(self) -> str:
-    shown = ", ".join(f"{f.name}={_data_repr(getattr(self, f.name))}" for f in fields(self))
-    return f"{type(self).__qualname__}({shown})"
+def _typed(to_text, *args) -> str:
+    """``to_text(*args)``, with CPython's digit-limit ValueError as InvalidArgumentError."""
+    try:
+        return to_text(*args)
+    except ValueError as exc:
+        raise InvalidArgumentError(str(exc)) from None
 
 
 def record(cls):
-    """``dataclass(frozen=True)`` with the repr a dataclass prints, but every field printed
-    through :func:`_data_repr`, so that past the digit limit it raises InvalidArgumentError."""
-    cls.__repr__ = _record_repr
-    return dataclass(frozen=True, repr=False)(cls)
+    """``dataclass(frozen=True)``, whose generated repr goes through :func:`_typed`."""
+    generated = dataclass(frozen=True)(cls).__repr__
+    cls.__repr__ = lambda self: _typed(generated, self)
+    return cls
 
 
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:

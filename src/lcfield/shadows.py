@@ -62,8 +62,7 @@ def line_LH_shadow(
     """
     H = _require_unlimited(default_unlimited() if H is None else H)
     x = Fraction(_exact(x))
-    y = eval_field(parse("1 - x/H"), {"x": x, "H": H}, depth)
-    return (x, y.st())
+    return (x, (1 - x * H.inv(depth)).st())
 
 
 def line_LH_slope(H: LCNumber | None = None, depth: int = DEFAULT_DEPTH) -> LCNumber:

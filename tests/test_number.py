@@ -668,6 +668,11 @@ class TestSignedSumPrinter:
         assert poly_text(pairs, variable) == ref_poly_text(pairs, variable)
 
 
+@number.record
+class _Held:
+    value: object
+
+
 class TestDigitLimit:
     """A literal that Python would refuse to convert is a ParseError at its token."""
 
@@ -737,7 +742,8 @@ class TestDigitLimit:
         (F(1),), (), (1, F(-2, 3)), ((F(1), 2), (F(3, 4),)), ("pi", -1), F(-5, 2), 7, True,
     ])
     def test_data_repr_is_repr(self, value):
-        assert number._data_repr(value) == repr(value)
+        # Below the limit, a record's field prints as repr prints it, through the typed door.
+        assert repr(_Held(value)) == f"_Held(value={value!r})"
 
     def test_radicand_past_the_limit_is_named_by_its_power(self):
         # (9/2)^4999 has more than 4300 digits; the error keeps its class and names it as a power.
