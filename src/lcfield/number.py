@@ -123,6 +123,7 @@ def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
     """Exact rational n-th root of c**p, or raise; an error names c**p.  For p prime to n,
     c**p is an n-th power exactly when c is one, so the root is taken of c first."""
     if n == 1:
+        _refuse_huge_power(c.numerator, c.denominator, p)
         return c**p
     if c < 0 and n % 2 == 0:
         raise NegativeRootError(f"even root of negative coefficient {_power_text(c, p)}")
@@ -131,21 +132,43 @@ def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
     if num is None or den is None:
         text = _power_text(abs(c), p)
         raise NotAnNthPowerError(f"{text} has no rational {rational_text(n)}-th root")
+    _refuse_huge_power(num, den, p)
     return Fraction(-num if c < 0 else num, den) ** p
 
 
+def _digit_limit() -> int:
+    """CPython's limit on int-string conversion, in digits; 0 where Python has none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _digit_limit_error() -> InvalidArgumentError:
+    """The error for text past the digit limit, worded on every Python as 3.11 words it."""
+    return InvalidArgumentError(f"Exceeds the limit ({_digit_limit()} digits) for integer string "
+                                "conversion; use sys.set_int_max_str_digits() to increase the limit")
+
+
+def _refuse_huge_power(n: int, d: int, p: int) -> None:
+    """Raise :func:`_digit_limit_error` before (n/d)**p is computed when |p| >= 2 and
+    |p|*(b-1) >= 4L, with b the larger bit length of n/d in lowest terms and L the digit
+    limit: a part of the power is then 2^(4L) > 10^L or more.  As b only shrinks in lowest
+    terms, n and d as given clear most calls without a gcd."""
+    if -2 < p < 2 or not (limit := _digit_limit()):
+        return
+    bits = -(-4 * limit // abs(p)) + 1  # |p|*(b-1) >= 4L exactly when b >= bits
+    if max(n.bit_length(), d.bit_length()) >= bits:
+        g = gcd(n, d)
+        if max((n // g).bit_length(), (d // g).bit_length()) >= bits:
+            raise _digit_limit_error()
+
+
 def _power_text(c: Fraction, p: int) -> str:
-    """c**p as text, or ``(c)^(p)`` when c**p is past the digit limit L.  With b the larger
-    bit length of c's numerator and denominator, |p|*(b-1) >= 4L puts a part of c**p at
-    2^(4L) > 10^L or more, so that case is decided without computing c**p."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where Python has no limit
-    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
-    if not limit or abs(p) * (bits - 1) < 4 * limit:
-        try:
-            return rational_text(c**p)
-        except InvalidArgumentError:
-            pass
-    return f"({rational_text(c)})^({rational_text(p)})"
+    """c**p as text, or ``(c)^(p)`` when c**p is past the digit limit; a power that
+    :func:`_refuse_huge_power` refuses is not computed."""
+    try:
+        _refuse_huge_power(c.numerator, c.denominator, p)
+        return rational_text(c**p)
+    except InvalidArgumentError:
+        return f"({rational_text(c)})^({rational_text(p)})"
 
 
 def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
@@ -433,14 +456,17 @@ class LCNumber:
     def pow_int(self, k: int, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         """Integer power: exact repeated squaring for k >= 0, else a series.
 
-        An exact operand with two or more terms raises InvalidArgumentError for k
-        above :data:`MAX_EXACT_POWER`, before any multiplication."""
+        Before any multiplication, InvalidArgumentError refuses k above :data:`MAX_EXACT_POWER`
+        for an exact operand with two or more terms, then a leading coefficient whose k-th
+        power :func:`_refuse_huge_power` refuses."""
         _exact(k, (int,))
         if k < 0:
             return self.pow_rational(k, depth)
         if k > MAX_EXACT_POWER and self._T is None and len(self._ints) > 1:
             limit = f"{MAX_EXACT_POWER}, the limit for an exact sum"
             raise InvalidArgumentError(f"exponent {rational_text(k)} is above {limit}")
+        if self._ints:
+            _refuse_huge_power(self._ints[0][1], self._Q, k)
         result, base = None, self
         while k:
             if k & 1:
@@ -628,14 +654,14 @@ def _signed_sum(summands: Iterable[tuple[bool, str]]) -> str:
 
 def _ratio(n: int, d: int) -> str:
     """n/d as ``str(Fraction(n, d))`` prints it, for d > 0.  The one place an int becomes text
-    for ``str``: past the digit limit, InvalidArgumentError with CPython's message."""
+    for ``str``: past the digit limit, :func:`_digit_limit_error`."""
     try:
         if d == 1:
             return str(n)
         g = gcd(n, d)
         return str(n // g) if g == d else f"{n // g}/{d // g}"
-    except ValueError as exc:
-        raise InvalidArgumentError(str(exc)) from None
+    except ValueError:
+        raise _digit_limit_error() from None
 
 
 def rational_text(r: Rational) -> str:
@@ -644,11 +670,11 @@ def rational_text(r: Rational) -> str:
 
 
 def _typed(to_text, *args) -> str:
-    """``to_text(*args)``, with CPython's digit-limit ValueError as InvalidArgumentError."""
+    """``to_text(*args)``, with CPython's digit-limit ValueError as :func:`_digit_limit_error`."""
     try:
         return to_text(*args)
-    except ValueError as exc:
-        raise InvalidArgumentError(str(exc)) from None
+    except ValueError:
+        raise _digit_limit_error() from None
 
 
 def record(cls):
@@ -699,7 +725,7 @@ class _Cursor:
     def __init__(self, src: str):
         self.src = src
         self.tokens = []
-        cap = getattr(sys, "get_int_max_str_digits", int)()  # 0 where Python has no cap
+        cap = _digit_limit()
         for m in self.TOKEN_RE.finditer(src.replace("−", "-")):
             if m.lastindex > len(self.KINDS):
                 raise ParseError(f"unexpected character {m.group()!r}", m.start())

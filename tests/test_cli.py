@@ -200,10 +200,19 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_power_of_a_sum_past_the_cap_is_1(self, capsys):
-        # (10 + eps)^100000 is never expanded: the exponent is refused first.
-        code, out, err = run(["diff", "x^100000", "--at", "10"], capsys)
+        # (1 + eps)^100000 is never expanded: the exponent is refused first.
+        code, out, err = run(["diff", "x^100000", "--at", "1"], capsys)
         message = "exponent 100000 is above 1000, the limit for an exact sum"
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("source, at", [("x^100000", "10"), ("2^100000000000", "1")])
+    def test_power_past_the_digit_limit_is_refused_at_once(self, capsys, monkeypatch, source, at):
+        # 10^100000 and 2^(10^11) are never computed: their sizes put them past the limit.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        code, out, err = run(["diff", source, "--at", at], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: Exceeds the limit (4300 digits) for integer string conversion; "
+                       "use sys.set_int_max_str_digits() to increase the limit\n")
 
     def test_parse_error_is_1(self, capsys):
         code, _, err = run(["eval", "1 + $"], capsys)

@@ -647,6 +647,55 @@ class TestExactPowerCap:
         assert parse("1 + eps + O(eps^(3))").pow_int(k) == binomial
 
 
+class TestPowerPastTheDigitLimit:
+    """A power that sizes alone put past the digit limit is refused before it is computed."""
+
+    MESSAGE = ("Exceeds the limit (4300 digits) for integer string conversion; "
+               "use sys.set_int_max_str_digits() to increase the limit")
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+    @pytest.mark.parametrize("call", [
+        lambda: LCNumber.from_rational(2).pow_int(10**11),
+        lambda: LCNumber([(0, 3), (1, 1)], 2).pow_int(20000),
+        lambda: LCNumber([(F(-1, 2), F(1, 10**20))]).pow_int(1000),
+        lambda: parse("4 + eps").pow_rational(F(10**8 + 1, 2)),
+        lambda: parse("8*eps").pow_rational(F(10**8, 3)),
+        lambda: parse("2").pow_rational(-20000),
+        lambda: number.rational_nth_root(F(2), 1, 10**8),
+        lambda: number.rational_nth_root(F(4, 9), 2, -(10**8)),
+        lambda: expr.eval_rational(parse_expr("x^(100000001/2)"), {"x": F(4)}),
+        lambda: eval_field(parse_expr("2^100000000000"), {}),
+    ])
+    def test_refused_before_any_product(self, call, monkeypatch):
+        monkeypatch.setattr(LCNumber, "__mul__", lambda *args: pytest.fail("a product ran"))
+        monkeypatch.setattr(F, "__pow__", lambda *args: pytest.fail("a power ran"))
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("call", [
+        # |p|*(b-1) = 4L - 1 for a leading 2.
+        lambda: LCNumber.from_rational(2).pow_int(17199),
+        # Stored as 256/16, past the bound; in lowest terms 16, below it.
+        lambda: LCNumber([(0, 16), (1, F(1, 16))], 2).pow_int(3000),
+        lambda: number.rational_nth_root(F(-8), 3, 5000),
+    ])
+    def test_below_the_bound_the_power_runs(self, call):
+        assert call() is not None
+
+    def test_no_limit_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        monkeypatch.setattr(F, "__pow__", lambda *args: "computed")
+        assert number.rational_nth_root(F(2), 1, 10**8) == "computed"
+
+    def test_a_cancelling_power_is_refused_too(self):
+        with pytest.raises(InvalidArgumentError):
+            expr.eval_rational(parse_expr("x^3/x^2"), {"x": 2 * 10**2200})
+
+
 class TestSignedSumPrinter:
     @given(printed_numbers())
     @example(ZERO)
@@ -714,7 +763,7 @@ class TestDigitLimit:
         lambda: str(EPS * F(1, 10**4400)),
         lambda: str(EPS.pow_int(10**4400)),
         # The message of NotAnNthPowerError names the radicand.
-        lambda: ((EPS + 10**2000).pow_int(3) + 1).nth_root(2),
+        lambda: (EPS + 10**6000 + 1).nth_root(2),
         lambda: number.rational_text(F(10**4400, 3)),
         lambda: repr(LCNumber.monomial(1, 10**4400).order_class()),
         lambda: expr.render(expr.Pow(expr.Var("x"), F(-1, 10**4400))),
