@@ -7,14 +7,35 @@ test.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
 import sympy as sp
 from hypothesis import strategies as st
 
+from lcfield.errors import LCError
 from lcfield.expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sqrt, Sub, Var
 from lcfield.number import LCNumber
+
+
+def outcome(f):
+    """The result of ``f()``, or the class and message of the LCError it raises."""
+    try:
+        return f()
+    except LCError as exc:
+        return type(exc), str(exc)
+
+
+def golden(name: str):
+    """``tests/golden/<name>.py``, the writer of a golden corpus, as a module."""
+    path = pathlib.Path(__file__).resolve().parent / "golden" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis strategies

@@ -3,7 +3,6 @@
 import argparse
 import concurrent.futures
 import hashlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -16,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import lcfield
+from conftest import golden
 from lcfield import svg
 from lcfield.cli import main
 
@@ -652,11 +652,9 @@ def test_conic_svg_with_a_huge_sample(capsys, tmp_path):
 
 
 def _session_argvs(seed):
-    """Every argv of the benchmark's cli-session sessions for one seed."""
-    path = REPO_ROOT / "perfbench" / "cases.py"
-    module_spec = importlib.util.spec_from_file_location("_cli_cases", path)
-    cases = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(cases)
+    """Every argv of the benchmark's cli-session sessions for one seed, from the cases module
+    that the golden corpus writer loads without writing bytecode."""
+    cases = golden("make_cli")._cases()
     return [inv["argv"] for session in cases.cli_session(seed)["sessions"] for inv in session]
 
 

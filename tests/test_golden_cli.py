@@ -1,13 +1,10 @@
 """Every row of the golden corpus ``tests/golden/cli.jsonl`` replays to the same bytes."""
 
-import importlib.util
 import json
-import pathlib
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-_spec = importlib.util.spec_from_file_location("make_cli", GOLDEN / "make_cli.py")
-make_cli = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_cli)
+from conftest import golden
+
+make_cli = golden("make_cli")
 
 
 def test_cli_bytes_match_the_golden_corpus():

@@ -1,13 +1,10 @@
 """Every row of the golden corpus ``tests/golden/lib.jsonl`` replays to the same bytes."""
 
-import importlib.util
 import json
-import pathlib
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-_spec = importlib.util.spec_from_file_location("make_lib", GOLDEN / "make_lib.py")
-make_lib = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_lib)
+from conftest import golden
+
+make_lib = golden("make_lib")
 
 
 def test_library_outcomes_match_the_golden_corpus():

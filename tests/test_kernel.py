@@ -18,7 +18,8 @@ from sympy import QQ, Rational, nextprime
 from sympy.polys.ring_series import rs_nth_root, rs_pow, rs_series_inversion
 from sympy.polys.rings import ring
 
-from lcfield.errors import LCError, UndecidableError, ZeroDivisionLCError
+from conftest import outcome
+from lcfield.errors import UndecidableError, ZeroDivisionLCError
 from lcfield.expr import Pow, Var, eval_field
 from lcfield.number import EPS, LCNumber, _min_trunc, rational_nth_root
 
@@ -138,14 +139,6 @@ def operands(draw, min_terms=0):
         above = F(draw(st.integers(1 if terms else -6, 9)), draw(st.sampled_from(lattices)))
         trunc = max(terms, default=lead) + above
     return LCNumber(terms.items(), trunc)
-
-
-def outcome(f):
-    """The result, or the error's class and message."""
-    try:
-        return f()
-    except LCError as exc:
-        return type(exc), str(exc)
 
 
 def kernel_calls(x, alpha, depth):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     exact_numbers, exponents, infinitesimals, limited_numbers, nonzero_numbers, nonzero_rationals,
-    rationals,
+    outcome, rationals,
 )
 from lcfield import calculus, expr, number, sequences, shadows
 from lcfield.errors import (
@@ -318,8 +318,8 @@ class TestRoots:
         p = data.draw(st.integers(-15, 15).filter(lambda p: gcd(p, q) == 1))
         r = F(data.draw(st.integers(-9, 9).filter(bool)), data.draw(st.integers(1, 9)))
         c = r ** data.draw(st.sampled_from([1, 2, 3, q, 2 * q]))
-        got = _outcome(lambda: number.rational_nth_root(c, q, p))
-        assert got == _outcome(lambda: number.rational_nth_root(c**p, q))
+        got = outcome(lambda: number.rational_nth_root(c, q, p))
+        assert got == outcome(lambda: number.rational_nth_root(c**p, q))
         assert type(got) in (F, tuple)
 
     def test_root_is_taken_before_the_power(self, monkeypatch):
@@ -913,13 +913,6 @@ def led_numbers(draw):
     return LCNumber(terms, draw(st.sampled_from([None, trunc])))
 
 
-def _outcome(f):
-    try:
-        return f()
-    except LCError as exc:
-        return type(exc), str(exc)
-
-
 _EXPONENTS = [F(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 7) if F(p, q) != 1]
 
 
@@ -951,7 +944,7 @@ class TestLeadingTermParity:
         }
         exponent = {"pow_rational": alpha, "pow_int": k}
         for name, (new, ref) in calls.items():
-            got, want = _outcome(new), _outcome(ref)
+            got, want = outcome(new), outcome(ref)
             p = F(exponent.get(name, 1)).numerator
             if abs(p) > 1 and not a.terms and a.trunc is not None:
                 # The one change: the message names the operand's own order, not |p| times it.
@@ -977,7 +970,7 @@ class TestLeadingTermParity:
         ]
         for question in questions:
             reads.clear()
-            _outcome(question)
+            outcome(question)
             assert len(reads) == 1
 
 
