@@ -121,7 +121,8 @@ def _int_nth_root(x: int, n: int) -> Optional[int]:
 
 def rational_nth_root(c: Fraction, n: int, p: int = 1) -> Fraction:
     """Exact rational n-th root of c**p, or raise; an error names c**p.  For p prime to n,
-    c**p is an n-th power exactly when c is one, so the root is taken of c first."""
+    c**p is an n-th power exactly when c is one, so the root is taken of c first.  Each
+    power goes through :func:`_refuse_huge_power` first."""
     if n == 1:
         _refuse_huge_power(c.numerator, c.denominator, p)
         return c**p
