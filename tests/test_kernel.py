@@ -12,6 +12,7 @@ import pickle
 from fractions import Fraction as F
 from math import ceil, gcd
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, Rational, nextprime
@@ -21,7 +22,7 @@ from sympy.polys.rings import ring
 from conftest import outcome
 from lcfield.errors import UndecidableError, ZeroDivisionLCError
 from lcfield.expr import Pow, Var, eval_field
-from lcfield.number import EPS, LCNumber, _min_trunc, rational_nth_root
+from lcfield.number import EPS, LCNumber, _binomial_series, _min_trunc, rational_nth_root
 
 # ---------------------------------------------------------------------------
 # Reference: sum_k c_k * u^k with every power u^k built by a dict product
@@ -325,8 +326,13 @@ def fraction_pow_int(x, k, depth):
     return LCNumber.from_rational(1) if result is None else result
 
 
-# Exact n-th powers, so that roots of a leading coefficient often exist.
-_powers = [F(1), F(-1), F(4), F(9, 4), F(8), F(-27, 8), F(1, 64), F(729, 1000000)]
+# Exact n-th powers, so that roots of a leading coefficient often exist; 2^60 has a root
+# of every index that divides 60, and (-3)^7 and (2/3)^11 have the odd roots 7 and 11.
+_powers = [F(1), F(-1), F(4), F(9, 4), F(8), F(-27, 8), F(1, 64), F(729, 1000000),
+           F(2**60), F((-3) ** 7), F(2**11, 3**11)]
+
+# Exponent denominators and root indices: the small ones, and 5, 7, 11, 12 and 60.
+_indices = [1, 2, 3, 4, 5, 7, 11, 12, 60]
 
 
 @st.composite
@@ -361,8 +367,8 @@ def _same(got, want):
 
 
 @given(wide_operands(), wide_operands(), st.integers(1, 64),
-       st.sampled_from([F(p, q) for p in (-5, -3, -2, -1, 1, 2, 3, 5) for q in (1, 2, 3, 4)]),
-       st.integers(-4, 4), st.sampled_from([2, 3]))
+       st.sampled_from([F(p, q) for p in (-5, -3, -2, -1, 1, 2, 3, 5) for q in _indices]),
+       st.integers(-4, 4), st.sampled_from(_indices[1:]))
 @settings(max_examples=300, deadline=None)
 def test_integer_loops_match_the_fraction_loops(x, y, depth, alpha, k, n):
     pairs = [
@@ -382,6 +388,39 @@ def test_integer_loops_match_the_fraction_loops(x, y, depth, alpha, k, n):
             _same(got, want)
         except AssertionError as exc:
             raise AssertionError(f"{name}: {exc}") from None
+
+
+def _kernel_series(rel, n0, p, q, n, r0):
+    """``_binomial_series`` on u = sum of (n_j / n0) * x^j for ``rel`` = ``[(j, n_j)]``,
+    called as ``pow_rational`` calls it, each coefficient as a Fraction."""
+    pairs = []
+    for j, nj in rel:
+        g = gcd(nj, n0) if n0 > 0 else -gcd(nj, n0)
+        pairs.append((j, nj // g, n0 // g))
+    return [F(a, b) for a, b in _binomial_series(pairs, p, q, n, (r0.numerator, r0.denominator))]
+
+
+# u's shapes: dense and sparse, with numerators that share factors with m and with each other.
+_RELS = [[(1, 1)], [(1, 2), (2, -5)], [(1, -3), (2, 1), (3, 7)], [(2, 9), (5, -4)]]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 12, 60, 1000])
+def test_binomial_series_matches_the_fraction_loop(q):
+    """Each a_j = n_j / n0 is N_j / m in lowest terms over one m, which takes repeated prime
+    factors; n0 carries a common factor g of every n_j and either sign."""
+    for p in (-3, -1, 1, 5):
+        if gcd(p, q) != 1:
+            continue
+        for r0 in (F(5, 9), F(-7, 4)):
+            for m in (1, 8, 27, 3**7, 2 * 3 * 5 * 7 * 11):
+                for sign, rel in zip((1, -1, -1, 1), _RELS):
+                    g, n0 = 6, sign * 6 * m
+                    rel = [(j, g * nj) for j, nj in rel]
+                    a = [(j, F(nj, n0)) for j, nj in rel]
+                    for n in (1, 2, 16, 48, 64):
+                        want = [r0 * c for c in fraction_binomial_series(a, F(p, q), n)]
+                        got = _kernel_series(rel, n0, p, q, n, r0)
+                        assert got == want, (p, q, r0, m, rel, n)
 
 
 # ---------------------------------------------------------------------------
