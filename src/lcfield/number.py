@@ -172,35 +172,33 @@ def _power_text(c: Fraction, p: int) -> str:
         return f"({rational_text(c)})^({rational_text(p)})"
 
 
-def _binomial_series(rel: list, p: int, q: int, n: int, g0: tuple) -> list:
-    """Coefficients g_0..g_(n-1) of g0 * (1 + u)^(p/q), u = sum of a_j * x^j, as
-    reduced ``(numerator, denominator)`` pairs.
+def _binomial_series(rel: list, n0: int, p: int, q: int, n: int, r0: Fraction) -> tuple:
+    """Coefficients g_0..g_(n-1) of r0 * (1 + u)^(p/q), u = sum of (n_j/n0) * x^j, as
+    ``(Q, [H_0, ..., H_(n-1)])`` with g_k = H_k/Q; ``rel`` lists ``(j, n_j)`` of each
+    nonzero term, j >= 1 ascending.
 
-    ``rel`` lists ``(j, numerator, denominator)`` of each nonzero a_j, j >= 1
-    ascending.  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7) costs
-    O(n * len(rel)): g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j).
-    It is linear in g, so the series starts from g_0 = g0 and needs no final
-    scaling.  Each sum runs on integers over the lcm L of its terms'
-    denominators, so g_k = s / (q*k*L) for an integer s.
+    With m = |n0| / gcd(n0, every n_j), each a_j = n_j/n0 is N_j/m, and the k-th
+    coefficient of (1 + u)^(p/q) has a denominator dividing q^(2k) * m^k, because
+    q^(2i) * binom(p/q, i) is an integer.  So Q = den(r0) * (q^2 * m)^(n-1) is a common
+    denominator, fixed before the loop.  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+    4.7), g_k = (1/k) * sum_j ((alpha + 1) * j - k) * a_j * g_(k-j), then runs on the
+    integers H_k with one exact division per k, in O(n * len(rel)) steps.
     """
-    g = [g0]
+    c = gcd(n0, *[t[1] for t in rel])
+    c = c if n0 > 0 else -c  # n0 = c*m with m > 0
+    qm = q * (n0 // c)
+    scale = (q * qm) ** (n - 1) if n > 1 else 1
+    # (alpha + 1) * j - k == ((p + q) * j - q * k) / q, times N_j = n_j / c
+    steps = [(j, (p + q) * j * (nj // c), q * (nj // c)) for j, nj in rel]
+    h = [r0.numerator * scale]
     for k in range(1, n):
-        s, L = 0, 1  # the sum so far is s / L
-        for j, a, b in rel:
+        s = 0
+        for j, a, b in steps:
             if j > k:
                 break
-            c, d = g[k - j]
-            # (alpha + 1) * j - k == ((p + q) * j - q * k) / q
-            t, d = ((p + q) * j - q * k) * a * c, b * d
-            if d == L:
-                s += t
-            else:
-                m = lcm(L, d)
-                s, L = s * (m // L) + t * (m // d), m
-        d = q * k * L
-        t = gcd(s, d)
-        g.append((s // t, d // t))
-    return g[:n]  # nothing for n < 1
+            s += (a - k * b) * h[k - j]
+        h.append(s // (qm * k))
+    return r0.denominator * scale, h
 
 
 def _rescale(ints: tuple, T: Optional[int], s: int, k: int = 1) -> tuple:
@@ -271,8 +269,9 @@ class LCNumber:
         over Q > 0.  Q and the numerators are divided by their content gcd(Q, *numerators),
         then :meth:`_least_lattice` reduces D."""
         if Q > 1:
-            # Numerators from the last: a series' last coefficient usually has Q itself as its
-            # reduced denominator, and math.gcd computes nothing more once the gcd is 1.
+            # Numerators from the last: a series' last coefficient usually has the largest
+            # reduced denominator, so the running gcd shrinks at once, and math.gcd computes
+            # nothing more once it is 1.
             g = gcd(Q, *[t[1] for t in reversed(ints)])
             if g > 1:
                 Q //= g
@@ -532,13 +531,10 @@ class LCNumber:
         for e, n in ints[1:]:
             if e - lam >= bound:
                 break
-            g = gcd(n, n0) if n0 > 0 else -gcd(n, n0)
-            rel.append(((e - lam) // step, n // g, n0 // g))
-        series = _binomial_series(rel, p, q, -(-bound // step), (r0.numerator, r0.denominator))
-        # Over the lcm of reduced denominators the numerators have no content to divide out.
-        Q = lcm(*[d for _, d in series])
-        out = [(mu + k * step * q, n * (Q // d)) for k, (n, d) in enumerate(series) if n]
-        return LCNumber._least_lattice(D, Q, out, mu + bound * q)
+            rel.append(((e - lam) // step, n))
+        Q, series = _binomial_series(rel, n0, p, q, -(-bound // step), r0)
+        out = [(mu + k * step * q, n) for k, n in enumerate(series) if n]
+        return LCNumber._canon(D, Q, out, mu + bound * q)
 
     def sqrt(self, depth: int = DEFAULT_DEPTH) -> "LCNumber":
         return self.nth_root(2, depth)

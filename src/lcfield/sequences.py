@@ -26,7 +26,7 @@ from .errors import (
 )
 from .expr import Add, Div, Expr, Lit, Mul, Neg, Pow, Sub, Var, _Parser, fold
 from .number import (
-    DEFAULT_DEPTH, ONE, LCNumber, Rational, _exact, poly_text, rational_text, record,
+    DEFAULT_DEPTH, ONE, LCNumber, Rational, _digit_limit, _exact, poly_text, rational_text, record,
 )
 
 #: Leading decimal digits of the supported declared constants.
@@ -278,9 +278,11 @@ def parse_sequence(src: str) -> RationalSequence:
             raise ParseError(f"unknown constant tag {tag!r}", m.start(1))
         if count is not None and not re.fullmatch("[0-9]+", count):
             raise ParseError(f"expected a digit count, got {count!r}", m.start(2))
+        if count is not None and 0 < (cap := _digit_limit()) < len(count):
+            raise ParseError(f"number has more than {cap} digits", m.start(2))
         try:
             return DecimalTruncation(tag, 20 if count is None else int(count))
-        except ValueError as exc:  # the digit count is out of range or past int's limit
+        except InvalidArgumentError as exc:  # the digit count is out of range
             raise ParseError(str(exc), m.start(2)) from None
     p, q = fold(_SequenceParser(src).parse(), _SEQUENCE_RING)
     return RationalFunctionOfN.make(p, q)
