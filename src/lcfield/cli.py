@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
@@ -241,8 +240,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LCError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    envelope = {"command": args.command, "depth": depth, "result": result}
-    text = json.dumps(envelope, indent=2, sort_keys=True) if args.json else "\n".join(lines)
+    if args.json:  # imported here, so that a text run does not load json
+        import json
+        envelope = {"command": args.command, "depth": depth, "result": result}
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(lines)
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -37,7 +37,6 @@ import enum
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -75,7 +74,61 @@ class Comparison(enum.Enum):
     GT = 1
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls):
+    """``cls`` as a frozen value class of its annotated fields, built the way
+    ``dataclass(frozen=True)`` builds one, but without importing ``dataclasses``.
+
+    A record is built by position or keyword, a field left out takes its class
+    default, and then ``__post_init__`` runs if the class has one.  ``==`` and
+    ``hash`` work on the tuple of fields, ``==`` only between instances of the same
+    class.  Assigning or deleting an attribute raises AttributeError.  Unless the
+    class has its own ``__repr__``, a record prints as ``Name(field=value!r, ...)``
+    through :func:`_typed`.  ``dataclasses.fields``, ``replace`` and
+    ``is_dataclass`` do not apply.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+        values.update(kwargs)
+        for name in names[len(args):]:
+            if name not in values:
+                if name not in defaults:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+                values[name] = defaults[name]
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self) -> tuple:
+        return tuple([self.__dict__[name] for name in names])
+
+    def __eq__(self, other):
+        return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{cls.__name__} is frozen: cannot assign to or delete {name!r}")
+
+    def generated_repr(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, lambda self: hash(fields(self))
+    cls.__setattr__ = cls.__delattr__ = frozen
+    cls.__match_args__ = names
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = lambda self: _typed(generated_repr, self)
+    return cls
+
+
+@record
 class OrderClass:
     """Leading order of magnitude: a leading exponent plus a sign.
 
@@ -672,13 +725,6 @@ def _typed(to_text, *args) -> str:
         return to_text(*args)
     except ValueError:
         raise _digit_limit_error() from None
-
-
-def record(cls):
-    """``dataclass(frozen=True)``, whose generated repr goes through :func:`_typed`."""
-    generated = dataclass(frozen=True)(cls).__repr__
-    cls.__repr__ = lambda self: _typed(generated, self)
-    return cls
 
 
 def _summand(n: int, d: int, name: str) -> tuple[bool, str]:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: text output, JSON contract, exit codes."""
 
 import argparse
+import ast
 import concurrent.futures
 import hashlib
 import json
@@ -705,32 +706,50 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert built == []
 
 
-def test_subcommand_modules_load_on_first_use():
-    # A later top-level import in cli would quietly undo the cold-start saving.
+# Standard modules that a text run of lc does not need: `dataclasses` (with the `inspect`
+# it imports) and `json`, which only --json loads.  Each costs milliseconds of cold start.
+_UNNEEDED = ("dataclasses", "inspect", "json")
+
+
+@pytest.fixture(scope="module")
+def loaded_by_stage():
+    """The lazy lcfield modules and the unneeded standard ones that a fresh process has
+    loaded after `import lcfield.cli` and after each run, as {stage: set of names}.  The
+    child prints by repr, since importing json for its output would defeat the check."""
     script = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+watched = {"lcfield.calculus", "lcfield.sequences", "lcfield.shadows", "lcfield.svg", *%r}
+preloaded = watched & set(sys.modules)  # by the interpreter's own start-up, say
 import lcfield.cli as cli
 
 def loaded():
-    return sorted(n for n in sys.modules if n.startswith("lcfield."))
+    return sorted(watched & set(sys.modules) - preloaded)
 
-stages = [loaded()]
+stages = {"import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["eval", "x", "--at", "x=1"])
-    stages.append(loaded())
-    cli.main(["diff", "x^2", "--at", "1"])
-    stages.append(loaded())
-    cli.main(["conic"])
-    stages.append(loaded())
-print(json.dumps(stages))
-"""
+    for argv in (["eval", "x", "--at", "x=1"], ["diff", "x^2", "--at", "1"], ["conic"],
+                 ["seq", "n/(n+1)"], ["shadow", "1", "--json"]):
+        assert cli.main(argv) == 0
+        stages[argv[0]] = loaded()
+print(repr(stages))
+""" % (_UNNEEDED,)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    lazy = {f"lcfield.{name}" for name in ("calculus", "sequences", "shadows", "svg")}
-    after_import, after_eval, after_diff, after_conic = (
-        set(stage) & lazy for stage in json.loads(proc.stdout)
-    )
-    assert (after_import, after_eval, after_diff) == (set(), set(), {"lcfield.calculus"})
+    return {stage: set(names) for stage, names in ast.literal_eval(proc.stdout).items()}
+
+
+def test_subcommand_modules_load_on_first_use(loaded_by_stage):
+    # A later top-level import in cli would quietly undo the cold-start saving.
+    lazy = {stage: names - set(_UNNEEDED) for stage, names in loaded_by_stage.items()}
+    assert (lazy["import"], lazy["eval"], lazy["diff"]) == (set(), set(), {"lcfield.calculus"})
     # conic prints its parabola with number.poly_text, so sequences stays unloaded.
-    assert after_conic == {"lcfield.calculus", "lcfield.shadows", "lcfield.svg"}
+    assert lazy["conic"] == {"lcfield.calculus", "lcfield.shadows", "lcfield.svg"}
+    assert lazy["seq"] == lazy["conic"] | {"lcfield.sequences"}
+
+
+def test_text_runs_load_no_dataclasses_inspect_or_json(loaded_by_stage):
+    # Records are built by number.record, and json is imported on the --json path only.
+    unneeded = {stage: names & set(_UNNEEDED) for stage, names in loaded_by_stage.items()}
+    assert unneeded == {"import": set(), "eval": set(), "diff": set(), "conic": set(),
+                        "seq": set(), "shadow": {"json"}}

@@ -1,5 +1,8 @@
 """Field arithmetic, ordering, truncation, and the reduction operators."""
 
+import copy
+import dataclasses
+import pickle
 import sys
 from fractions import Fraction as F
 from math import gcd
@@ -374,6 +377,8 @@ class TestClassification:
         a, b = OrderClass(F(1, 2), 1), OrderClass(leading_exponent=F(1, 2), sign=1)
         assert a == b and hash(a) == hash(b)
         assert OrderClass(F(0), 0) != 0
+        # Its own repr is kept, not replaced by the generated one.
+        assert repr(a) == "OrderClass(exponent=1/2, sign=+1)"
         with pytest.raises(AttributeError):
             a.sign = -1
         assert a in {b}
@@ -720,6 +725,96 @@ class _Held:
     value: object
 
 
+def _dataclass_reference(cls):
+    """The record class ``cls`` built again by ``dataclasses.dataclass(frozen=True)``, from
+    its annotations, defaults and own methods; OrderClass keeps its own ``__repr__``."""
+    generated = {"__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__match_args__",
+                 "__dict__", "__weakref__"} | ({"__repr__"} if cls is not OrderClass else set())
+    namespace = {k: v for k, v in vars(cls).items() if k not in generated}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def _result(f):
+    """The result of ``f()``, or the class and message of the exception it raises."""
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Each record class with field values; the `_Held` rows hold one value of each kind repr prints.
+RECORDS = [(_Held, (value,)) for value in [
+    (F(1),), (), (1, F(-2, 3)), ((F(1), 2), (F(3, 4),)), ("pi", -1), F(-5, 2), 7, True,
+]] + [
+    (OrderClass, (F(1, 2), 1)),
+    (OrderClass, (F(0), 0)),
+    (calculus.DiffResult, (F(2), 2 + EPS)),
+    (calculus.ProductRuleTrace, (3 * EPS + EPS * EPS, 3 * EPS, EPS * EPS)),
+    (calculus.SecondDifferentialReport, (EPS, EPS + LCNumber([], 2), F(0))),
+    (sequences.RationalFunctionOfN, (1 + EPS, 1 + 2 * EPS)),
+    (sequences.DecimalTruncation, ("pi", 5)),
+    (sequences.DecimalTruncation, ("e", 3, F(-1, 2))),
+    (sequences.Decomposition, (F(1, 3), -1)),
+    (sequences.Decomposition, ("pi", 0)),
+    (shadows.ConicState, ((F(1, 4), F(0), F(-1)), ((F(0), F(-1)), (F(2), F(0))))),
+    (expr.TransferFailure, ("field", {"x": EPS}, "lhs != rhs")),
+    (expr.TransferReport, (20, 20, [])),
+]
+
+
+class TestRecord:
+    """``number.record`` against ``dataclass(frozen=True)`` built from the same class."""
+
+    @pytest.mark.parametrize("cls, args", RECORDS)
+    def test_is_a_frozen_dataclass(self, cls, args):
+        a, ref = cls(*args), _dataclass_reference(cls)(*args)
+        names = [f.name for f in dataclasses.fields(ref)]
+        b = cls(**dict(zip(names, args)))
+        assert a == b and not a != b and a == cls(*args[:1], **dict(zip(names[1:], args[1:])))
+        # Equal fields, another class: unequal both ways.
+        assert a != ref and ref != a and a != args
+        assert _result(lambda: hash(a)) == _result(lambda: hash(ref)) == _result(lambda: hash(b))
+        for change in (lambda r: setattr(r, names[0], args[0]), lambda r: delattr(r, names[0]),
+                       lambda r: setattr(r, "other", 1)):
+            for r in (a, ref):
+                with pytest.raises(AttributeError):
+                    change(r)
+        assert getattr(a, names[0]) is args[0] and not hasattr(a, "other")
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (("pi", 5), {}), (("pi",), {"known_digits": 5}), ((), {"tag": "pi", "known_digits": 5}),
+        (("pi", 5, F(0)), {}), (("pi", 5), {"shift": F(0)}), (("e", 2), {"shift": 1}),
+    ])
+    def test_field_left_out_takes_its_default(self, args, kwargs):
+        cls = sequences.DecimalTruncation
+        a, ref = cls(*args, **kwargs), _dataclass_reference(cls)(*args, **kwargs)
+        assert (a.tag, a.known_digits, a.shift) == (ref.tag, ref.known_digits, ref.shift)
+        assert a == cls(a.tag, a.known_digits, a.shift) and repr(a) == repr(ref)
+
+    @pytest.mark.parametrize("cls, args, kwargs", [
+        # __post_init__ refuses the value: the same error and message.
+        (sequences.DecimalTruncation, ("tau", 5), {}),
+        (sequences.DecimalTruncation, ("pi", 0), {}),
+        (sequences.DecimalTruncation, ("pi", 51), {}),
+        (sequences.DecimalTruncation, ("pi", 5, "1/2"), {}),
+        (sequences.DecimalTruncation, ("pi",), {"known_digits": True}),
+        # A call that fits no signature: TypeError, in words of its own.
+        (sequences.DecimalTruncation, ("pi",), {}),
+        (sequences.DecimalTruncation, ("pi", 5, F(0), 1), {}),
+        (sequences.DecimalTruncation, ("pi", 5), {"tag": "e"}),
+        (sequences.DecimalTruncation, ("pi", 5), {"digits": 5}),
+        (calculus.DiffResult, (), {}),
+        (OrderClass, (F(1),), {"exponent": 1}),
+    ])
+    def test_refused_construction(self, cls, args, kwargs):
+        expected = _result(lambda: _dataclass_reference(cls)(*args, **kwargs))
+        got = _result(lambda: cls(*args, **kwargs))
+        assert isinstance(expected, tuple) and isinstance(got, tuple) and got[0] is expected[0]
+        if expected[0] is not TypeError:
+            assert got == expected
+
+
 class TestDigitLimit:
     """A literal that Python would refuse to convert is a ParseError at its token."""
 
@@ -785,12 +880,10 @@ class TestDigitLimit:
         assert isinstance(info.value, ValueError)
         assert str(info.value).startswith("Exceeds the limit (4300 digits) for integer string")
 
-    @pytest.mark.parametrize("value", [
-        (F(1),), (), (1, F(-2, 3)), ((F(1), 2), (F(3, 4),)), ("pi", -1), F(-5, 2), 7, True,
-    ])
-    def test_data_repr_is_repr(self, value):
-        # Below the limit, a record's field prints as repr prints it, through the typed door.
-        assert repr(_Held(value)) == f"_Held(value={value!r})"
+    @pytest.mark.parametrize("cls, args", RECORDS)
+    def test_data_repr_is_repr(self, cls, args):
+        # Below the limit, a record prints as its dataclass would, through the typed door.
+        assert repr(cls(*args)) == repr(_dataclass_reference(cls)(*args))
 
     def test_radicand_past_the_limit_is_named_by_its_power(self):
         # (9/2)^4999 has more than 4300 digits; the error keeps its class and names it as a power.
